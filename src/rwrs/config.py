@@ -47,8 +47,6 @@ class ExperimentConfig:
     a: float = 0.25
     s0: float = 1.0
     t0: float = 0.5
-    m: int = 2
-    lags: tuple[float, ...] | None = None
     deltas: tuple[float, ...] = (0.0625, 0.125, 0.25)
     gamma: float = 0.7
     gamma_prime: float = 0.45
@@ -80,8 +78,6 @@ _PARSERS = {
     "a": float,
     "s0": float,
     "t0": float,
-    "m": int,
-    "lags": "float_list",
     "deltas": "float_list",
     "gamma": float,
     "gamma_prime": float,

@@ -2,9 +2,9 @@
 
 Two-sample comparisons use the Kolmogorov-Smirnov or energy statistic with
 permutation p-values; exponent claims are checked as log-log regression
-slopes. Sample generation is deterministic per replicate index, so the
-samplers accept a ``map_fn`` (e.g. a process pool's ``map``) and produce the
-same output for any degree of parallelism.
+slopes. Each side is sampled by one replicate kernel, deterministic per
+replicate index, so :func:`samples` accepts a ``map_fn`` (e.g. a process
+pool's ``map``) and produces the same output for any degree of parallelism.
 """
 from __future__ import annotations
 
@@ -93,6 +93,22 @@ class LimitConfig:
     calib_replicates: int = 4_000
 
 
+@dataclass(frozen=True)
+class FddResult:
+    """Reports of :func:`verify_fdd` and the draws a variance check needs.
+
+    ``discrete`` holds the rescaled empirical values, one row per replicate
+    and one column per point. When a point lies on s = 1,
+    ``terminal_quadratic`` holds the local-time quadratic at s = 1 (the
+    integral of L_1^2 over space) of each limit replicate, with shape
+    (replicates, 1, 1); otherwise it is None.
+    """
+
+    reports: dict
+    discrete: np.ndarray
+    terminal_quadratic: np.ndarray | None
+
+
 def _as_sample(x, label: str) -> SampleSet:
     if isinstance(x, SampleSet):
         return x
@@ -116,13 +132,37 @@ def two_sample_distance(a, b, method: str = "ks", permutations: int = 1000,
     if permutations < 500:
         raise ValueError("permutations must be >= 500")
 
-    na, nb = a.values.size, b.values.size
-    pooled = np.concatenate((a.values, b.values))
+    labels_sorted, stats_for = _label_statistic(a.values, b.values, method)
+    observed = float(stats_for(labels_sorted[None, :])[0])
+    rng = stream_generator(SeedScheme(seed & 0xFFFFFFFFFFFFFFFF, StreamKind.KIEFER, 0),
+                           salt=0x7E57)
+    count = 0
+    batch = 250
+    done = 0
+    while done < permutations:
+        m = min(batch, permutations - done)
+        rows = rng.permuted(np.tile(labels_sorted, (m, 1)), axis=1)
+        count += int(np.sum(stats_for(rows) >= observed - 1e-15))
+        done += m
+    p_value = (1.0 + count) / (permutations + 1.0)
+    return ComparisonReport(
+        statistic_name=method, statistic=observed, p_value=p_value,
+        sample_sizes=(a.values.size, b.values.size), permutations=permutations,
+        labels=(a.label, b.label))
+
+
+def _label_statistic(a: np.ndarray, b: np.ndarray, method: str):
+    """Sorted pool labels (1 for ``a``) and the statistic of 0/1 label rows.
+
+    The returned function maps an (m, na + nb) array of label rows, each a
+    relabelling of the sorted pool, to the m statistics.
+    """
+    na, nb = a.size, b.size
+    pooled = np.concatenate((a, b))
     labels = np.concatenate((np.ones(na, dtype=np.int64),
                              np.zeros(nb, dtype=np.int64)))
     order = np.argsort(pooled, kind="stable")
     v = pooled[order]
-    labels_sorted = labels[order]
     # |F_a - F_b| may only be evaluated where the pooled value changes
     boundary = np.append(np.diff(v) > 0, True)
     gaps = np.diff(v)
@@ -138,39 +178,14 @@ def two_sample_distance(a, b, method: str = "ks", permutations: int = 1000,
         w = c * (1.0 / na + 1.0 / nb) - ranks * (1.0 / nb)
         return 2.0 * np.sum(w[:, :-1] ** 2 * gaps, axis=1)
 
-    observed = float(stats_for(labels_sorted[None, :])[0])
-    rng = stream_generator(SeedScheme(seed & 0xFFFFFFFFFFFFFFFF, StreamKind.KIEFER, 0),
-                           salt=0x7E57)
-    count = 0
-    batch = 250
-    done = 0
-    while done < permutations:
-        m = min(batch, permutations - done)
-        rows = rng.permuted(np.tile(labels_sorted, (m, 1)), axis=1)
-        count += int(np.sum(stats_for(rows) >= observed - 1e-15))
-        done += m
-    p_value = (1.0 + count) / (permutations + 1.0)
-    return ComparisonReport(
-        statistic_name=method, statistic=observed, p_value=p_value,
-        sample_sizes=(na, nb), permutations=permutations,
-        labels=(a.label, b.label))
+    return labels[order], stats_for
 
 
 def ks_statistic(a, b) -> float:
     """Two-sample KS statistic alone (no permutation p-value)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = a.size, b.size
-    pooled = np.concatenate((a, b))
-    labels = np.concatenate((np.ones(na, dtype=np.int64),
-                             np.zeros(nb, dtype=np.int64)))
-    order = np.argsort(pooled, kind="stable")
-    v = pooled[order]
-    boundary = np.append(np.diff(v) > 0, True)
-    c = np.cumsum(labels[order])
-    ranks = np.arange(1, na + nb + 1, dtype=np.int64)
-    numer = np.abs(c * (na + nb) - ranks * na)
-    return float(np.max(numer * boundary)) / float(na * nb)
+    labels_sorted, stats_for = _label_statistic(
+        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), "ks")
+    return float(stats_for(labels_sorted[None, :])[0])
 
 
 def energy_statistic_pairwise(a, b) -> float:
@@ -216,145 +231,86 @@ def limit_scale(alpha, law: IncrementLaw | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Per-replicate samplers (module level so process pools can pickle them).
+# Replicate kernels (module level so process pools can pickle them). Each call
+# draws one walk or one Levy path from the replicate's seeds and returns only
+# the small outputs asked of it, so one draw serves every output of a run.
 
-def lemma1_discrete_replicate(index: int, alpha, s_vec, n: int,
-                              master_seed: int, law=None) -> np.ndarray:
-    law = law_for_alpha(alpha, law)
-    path = simulate_walk(n, law, SeedScheme(master_seed, StreamKind.WALK, index))
-    return occupation_quadratic(path, np.asarray(s_vec), alpha)
+def discrete_kernel(index: int, alpha, n: int, master_seed: int, law=None, *,
+                    grid: GridSpec | None = None, scaled: bool = True,
+                    s_vec=None, functional: str | None = None) -> dict:
+    """One discrete replicate: walk, then scenery, then the requested outputs.
 
-
-def lemma1_limit_replicate(index: int, alpha, s_vec, scale: float,
-                           config: LimitConfig, master_seed: int) -> np.ndarray:
-    path = simulate_levy_path(alpha, scale, config.steps,
-                              SeedScheme(master_seed, StreamKind.LEVY, index))
-    lt = local_time_field(path, default_cell_width(path, config.cells),
-                          np.asarray(s_vec))
-    return local_time_quadratic(lt, np.asarray(s_vec))
-
-
-def discrete_quadratic_samples(alpha, s_vec, n: int, replicates: int,
-                               master_seed: int = 0, law=None,
-                               map_fn=map) -> np.ndarray:
-    fn = partial(lemma1_discrete_replicate, alpha=Alpha.of(alpha),
-                 s_vec=tuple(s_vec), n=n, master_seed=master_seed, law=law)
-    return np.stack(list(map_fn(fn, range(replicates))))
-
-
-def limit_quadratic_samples(alpha, s_vec, replicates: int,
-                            config: LimitConfig | None = None,
-                            master_seed: int = 0, scale: float | None = None,
-                            law=None, map_fn=map) -> np.ndarray:
-    config = config or LimitConfig()
-    if scale is None:
-        scale = limit_scale(alpha, law, config)
-    fn = partial(lemma1_limit_replicate, alpha=Alpha.of(alpha),
-                 s_vec=tuple(s_vec), scale=scale, config=config,
-                 master_seed=master_seed)
-    return np.stack(list(map_fn(fn, range(replicates))))
-
-
-def _point_grid(points) -> GridSpec:
-    s_axis = np.unique(np.concatenate(([0.0, 1.0], [p[0] for p in points])))
-    t_axis = np.unique(np.concatenate(([0.0, 1.0], [p[1] for p in points])))
-    return GridSpec(s_axis, t_axis)
-
-
-def fdd_discrete_replicate(index: int, alpha, points, n: int,
-                           master_seed: int, law=None) -> np.ndarray:
-    law = law_for_alpha(alpha, law)
-    grid = _point_grid(points)
-    path = simulate_walk(n, law, SeedScheme(master_seed, StreamKind.WALK, index))
-    sheet = rescale(empirical_sheet(
-        path, SeedScheme(master_seed, StreamKind.SCENERY, index), grid))
-    out = np.empty(len(points))
-    for k, (s, t) in enumerate(points):
-        i = int(np.searchsorted(grid.s, s))
-        j = int(np.searchsorted(grid.t, t))
-        out[k] = sheet.values[i, j]
+    ``sheet`` holds the empirical sheet's values on ``grid`` (rescaled unless
+    ``scaled`` is False), ``quadratic`` the occupation cross products at
+    ``s_vec`` and ``functional`` the named occupation functional.
+    """
+    path = simulate_walk(n, law_for_alpha(alpha, law),
+                         SeedScheme(master_seed, StreamKind.WALK, index))
+    out = {}
+    if grid is not None:
+        sheet = empirical_sheet(
+            path, SeedScheme(master_seed, StreamKind.SCENERY, index), grid)
+        out["sheet"] = (rescale(sheet) if scaled else sheet).values
+    if s_vec is not None:
+        out["quadratic"] = occupation_quadratic(path, np.asarray(s_vec), alpha)
+    if functional is not None:
+        out["functional"] = occupation_statistic(path, functional, alpha)
     return out
 
 
-def fdd_limit_replicate(index: int, alpha, points, scale: float,
-                        config: LimitConfig, master_seed: int) -> np.ndarray:
-    s_cuts = np.unique(np.asarray([p[0] for p in points]))
-    t_grid = np.unique(np.concatenate(([0.0, 1.0], [p[1] for p in points])))
+def limit_kernel(index: int, alpha, scale: float, config: LimitConfig,
+                 master_seed: int, *, grids=(), s_vec=None) -> dict:
+    """One limit replicate: Levy path, then local time, then the requested outputs.
+
+    ``sheets`` holds one limit sheet per ``(s_cuts, t_grid)`` pair in
+    ``grids``, all driven by the same path and Kiefer stream; ``quadratic``
+    holds the local-time cross products at ``s_vec``, read from a grid's
+    local-time field when that field has every cut.
+    """
     path = simulate_levy_path(alpha, scale, config.steps,
                               SeedScheme(master_seed, StreamKind.LEVY, index))
-    lt = local_time_field(path, default_cell_width(path, config.cells), s_cuts)
-    kf = kiefer_increments(lt.x_left, lt.dx, t_grid,
-                           SeedScheme(master_seed, StreamKind.KIEFER, index))
-    sheet = limit_sheet(lt, kf)
-    out = np.empty(len(points))
-    for k, (s, t) in enumerate(points):
-        i = int(np.searchsorted(s_cuts, s))
-        j = int(np.searchsorted(t_grid, t))
-        out[k] = sheet.values[i, j]
+    dx = default_cell_width(path, config.cells)
+    kiefer_seed = SeedScheme(master_seed, StreamKind.KIEFER, index)
+    fields, sheets = [], []
+    for s_cuts, t_grid in grids:
+        lt = local_time_field(path, dx, np.asarray(s_cuts))
+        kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid), kiefer_seed)
+        fields.append(lt)
+        sheets.append(limit_sheet(lt, kf))
+    out = {"sheets": tuple(sheets)} if grids else {}
+    if s_vec is not None:
+        s_vec = np.asarray(s_vec)
+        lt = next((f for f in fields if np.all(np.isin(s_vec, f.s_cuts))), None)
+        if lt is None:
+            lt = local_time_field(path, dx, s_vec)
+        out["quadratic"] = local_time_quadratic(lt, s_vec)
     return out
 
 
-def fdd_discrete_samples(alpha, points, n: int, replicates: int,
-                         master_seed: int = 0, law=None, map_fn=map) -> np.ndarray:
-    fn = partial(fdd_discrete_replicate, alpha=Alpha.of(alpha),
-                 points=tuple(points), n=n, master_seed=master_seed, law=law)
-    return np.stack(list(map_fn(fn, range(replicates))))
+def samples(kernel, replicates: int, map_fn=map) -> dict:
+    """Outputs of ``kernel`` over replicate indices 0..replicates-1.
+
+    ``map_fn`` (e.g. a process pool's ``map``) must return results in index
+    order, which makes the samples the same for any degree of parallelism.
+    Array and scalar outputs are stacked along a new first axis; a tuple
+    output (the limit kernel's ``sheets``) becomes one list per position.
+    """
+    draws = list(map_fn(kernel, range(replicates)))
+    out = {}
+    for key in draws[0]:
+        column = [draw[key] for draw in draws]
+        if isinstance(column[0], tuple):
+            out[key] = tuple(list(per_grid) for per_grid in zip(*column))
+        else:
+            out[key] = np.stack(column)
+    return out
 
 
-def fdd_limit_samples(alpha, points, replicates: int,
-                      config: LimitConfig | None = None, master_seed: int = 0,
-                      scale: float | None = None, law=None, map_fn=map) -> np.ndarray:
-    config = config or LimitConfig()
-    if scale is None:
-        scale = limit_scale(alpha, law, config)
-    fn = partial(fdd_limit_replicate, alpha=Alpha.of(alpha),
-                 points=tuple(points), scale=scale, config=config,
-                 master_seed=master_seed)
-    return np.stack(list(map_fn(fn, range(replicates))))
-
-
-def limit_sheet_replicate(index: int, alpha, s_cuts, t_grid, scale: float,
-                          config: LimitConfig, master_seed: int) -> LimitSheet:
-    path = simulate_levy_path(alpha, scale, config.steps,
-                              SeedScheme(master_seed, StreamKind.LEVY, index))
-    lt = local_time_field(path, default_cell_width(path, config.cells),
-                          np.asarray(s_cuts))
-    kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid),
-                           SeedScheme(master_seed, StreamKind.KIEFER, index))
-    return limit_sheet(lt, kf)
-
-
-def limit_sheet_samples(alpha, s_cuts, t_grid, replicates: int,
-                        config: LimitConfig | None = None, master_seed: int = 0,
-                        scale: float | None = None, law=None,
-                        map_fn=map) -> list[LimitSheet]:
-    config = config or LimitConfig()
-    if scale is None:
-        scale = limit_scale(alpha, law, config)
-    fn = partial(limit_sheet_replicate, alpha=Alpha.of(alpha),
-                 s_cuts=tuple(s_cuts), t_grid=tuple(t_grid), scale=scale,
-                 config=config, master_seed=master_seed)
-    return list(map_fn(fn, range(replicates)))
-
-
-def empirical_sheet_replicate(index: int, alpha, n: int, s_grid, t_grid,
-                              master_seed: int, law=None,
-                              scaled: bool = True) -> np.ndarray:
-    law = law_for_alpha(alpha, law)
-    grid = GridSpec(np.asarray(s_grid), np.asarray(t_grid))
-    path = simulate_walk(n, law, SeedScheme(master_seed, StreamKind.WALK, index))
-    sheet = empirical_sheet(
-        path, SeedScheme(master_seed, StreamKind.SCENERY, index), grid)
-    if scaled:
-        sheet = rescale(sheet)
-    return sheet.values
-
-
-def moment_replicate(index: int, alpha, n: int, functional: str,
-                     master_seed: int, law=None) -> float:
-    law = law_for_alpha(alpha, law)
-    path = simulate_walk(n, law, SeedScheme(master_seed, StreamKind.WALK, index))
-    return occupation_statistic(path, functional, alpha)
+def _at_points(values: np.ndarray, s_axis, t_axis, points) -> np.ndarray:
+    """Stacked sheet values at each (s, t) point, one row per replicate."""
+    i = np.searchsorted(s_axis, [s for s, _ in points])
+    j = np.searchsorted(t_axis, [t for _, t in points])
+    return values[:, i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +330,14 @@ def verify_lemma1(alpha, s_vec, n: int, replicates: int,
     if replicates < 500:
         raise ValueError("replicates must be >= 500")
     s_vec = tuple(float(s) for s in s_vec)
-    discrete = discrete_quadratic_samples(alpha, s_vec, n, replicates,
-                                          master_seed, law, map_fn)
-    limit = limit_quadratic_samples(alpha, s_vec, replicates, limit_config,
-                                    master_seed, law=law, map_fn=map_fn)
+    config = limit_config or LimitConfig()
+    discrete = samples(partial(discrete_kernel, alpha=alpha, n=n,
+                               master_seed=master_seed, law=law, s_vec=s_vec),
+                       replicates, map_fn)["quadratic"]
+    limit = samples(partial(limit_kernel, alpha=alpha,
+                            scale=limit_scale(alpha, law, config), config=config,
+                            master_seed=master_seed, s_vec=s_vec),
+                    replicates, map_fn)["quadratic"]
     reports = {}
     for i in range(len(s_vec)):
         for j in range(i, len(s_vec)):
@@ -392,7 +352,7 @@ def verify_lemma1(alpha, s_vec, n: int, replicates: int,
 def verify_fdd(alpha, points, n: int, replicates: int,
                limit_config: LimitConfig | None = None, *,
                master_seed: int = 0, law=None, method: str = "ks",
-               permutations: int = 1000, map_fn=map) -> dict:
+               permutations: int = 1000, map_fn=map) -> FddResult:
     """Compare rescaled discrete marginals against limit-sheet marginals.
 
     Reports are keyed by ("point", (s, t)) for single points and
@@ -403,10 +363,22 @@ def verify_fdd(alpha, points, n: int, replicates: int,
     points = tuple((float(s), float(t)) for s, t in points)
     if not points:
         raise ValueError("need at least one evaluation point")
-    discrete = fdd_discrete_samples(alpha, points, n, replicates,
-                                    master_seed, law, map_fn)
-    limit = fdd_limit_samples(alpha, points, replicates, limit_config,
-                              master_seed, law=law, map_fn=map_fn)
+    config = limit_config or LimitConfig()
+    s_cuts = np.unique([s for s, _ in points])
+    t_grid = np.unique(np.concatenate(([0.0, 1.0], [t for _, t in points])))
+    grid = GridSpec(np.unique(np.concatenate(([0.0, 1.0], s_cuts))), t_grid)
+    terminal = (1.0,) if 1.0 in s_cuts else None
+    sheets = samples(partial(discrete_kernel, alpha=alpha, n=n,
+                             master_seed=master_seed, law=law, grid=grid),
+                     replicates, map_fn)["sheet"]
+    drawn = samples(partial(limit_kernel, alpha=alpha,
+                            scale=limit_scale(alpha, law, config), config=config,
+                            master_seed=master_seed, grids=((s_cuts, t_grid),),
+                            s_vec=terminal),
+                    replicates, map_fn)
+    discrete = _at_points(sheets, grid.s, grid.t, points)
+    limit = _at_points(np.stack([sheet.values for sheet in drawn["sheets"][0]]),
+                       s_cuts, t_grid, points)
     reports = {}
     for k, point in enumerate(points):
         reports[("point", point)] = two_sample_distance(
@@ -426,7 +398,8 @@ def verify_fdd(alpha, points, n: int, replicates: int,
                         method=method, permutations=permutations,
                         seed=master_seed + 1299709 * (k1 + 2) + 15485863 * (k2 + 3)
                         + int(theta[1] > 0))
-    return reports
+    return FddResult(reports=reports, discrete=discrete,
+                     terminal_quadratic=drawn.get("quadratic"))
 
 
 def moment_scaling(alpha, n_list, functional: str, replicates: int, *,
@@ -447,11 +420,10 @@ def moment_scaling(alpha, n_list, functional: str, replicates: int, *,
         raise ValueError("replicates must be >= 200")
     levels = []
     for n in n_list:
-        fn = partial(moment_replicate, alpha=Alpha.of(alpha), n=n,
-                     functional=functional,
-                     master_seed=_per_n_seed(master_seed, n), law=law)
-        stats = np.fromiter(map_fn(fn, range(replicates)), dtype=np.float64,
-                            count=replicates)
+        kernel = partial(discrete_kernel, alpha=alpha, n=n,
+                         master_seed=_per_n_seed(master_seed, n), law=law,
+                         functional=functional)
+        stats = samples(kernel, replicates, map_fn)["functional"]
         levels.append(np.median(stats) if functional == "maxN_scaled"
                       else stats.mean())
     return fit_loglog(np.asarray(n_list, dtype=np.float64), np.asarray(levels))
@@ -553,8 +525,11 @@ def self_similarity_test(alpha, a: float, s0: float, t0: float,
         raise ValueError("s0 must lie in (0, 1]")
     s_cuts = (a * s0, s0)
     t_grid = tuple(np.unique(np.asarray([0.0, t0, 1.0])))
-    sheets = limit_sheet_samples(alpha, s_cuts, t_grid, 2 * replicates,
-                                 limit_config, master_seed, map_fn=map_fn)
+    config = limit_config or LimitConfig()
+    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
+                     config=config, master_seed=master_seed,
+                     grids=((s_cuts, t_grid),))
+    sheets = samples(kernel, 2 * replicates, map_fn)["sheets"][0]
     j = int(np.searchsorted(np.asarray(t_grid), t0))
     shrunk = np.array([sheet.values[0, j] for sheet in sheets[:replicates]])
     scaled = self_similarity_factor(alpha, a) * np.array(

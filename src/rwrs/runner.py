@@ -21,21 +21,19 @@ from .config import ExperimentConfig, config_hash, serialize_config
 from .diagnostics import (
     LimitConfig,
     bickel_wichura_modulus,
-    empirical_sheet_replicate,
-    fdd_discrete_samples,
+    discrete_kernel,
     holder_norm_estimate,
-    limit_quadratic_samples,
-    limit_sheet_replicate,
-    limit_sheet_samples,
+    limit_kernel,
     limit_scale,
     moment_scaling,
+    samples,
     self_similarity_factor,
     self_similarity_test,
     verify_fdd,
     verify_lemma1,
 )
 from .io import envelope_json, report_entry, reports_json, rows_to_csv, sheet_to_csv
-from .randomness import Alpha, IncrementLaw, SeedScheme, StreamKind
+from .randomness import Alpha, SeedScheme, StreamKind
 from .walk import EmpiricalSheet, GridSpec
 
 OUTPUT_DIR_ENV = "RWRS_OUTPUT_DIR"
@@ -115,6 +113,14 @@ def _limit_config(config: ExperimentConfig) -> LimitConfig:
                        calib_replicates=config.calib_replicates)
 
 
+def _limit_kernel(config: ExperimentConfig, **outputs):
+    """The limit kernel at the config's resolution, seed and matching scale."""
+    limit_config = _limit_config(config)
+    return partial(limit_kernel, alpha=config.alpha,
+                   scale=limit_scale(config.alpha, config=limit_config),
+                   config=limit_config, master_seed=config.master_seed, **outputs)
+
+
 def _base_name(config: ExperimentConfig, n: int | None = None) -> str:
     size = config.n if n is None else n
     if config.experiment == "simulate-limit":
@@ -181,7 +187,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         manifest.outputs = sorted(p.name for p in written) + ["manifest.json"]
         _write_manifest(manifest_path, manifest)
         return manifest
-    except Exception as exc:
+    except (Exception, KeyboardInterrupt) as exc:
         for path in written:
             path.unlink(missing_ok=True)
         manifest.finished_at = _now()
@@ -208,13 +214,11 @@ def _report_meta(config: ExperimentConfig) -> dict:
 # Experiment implementations. Each returns (files, summary lines).
 
 def _exp_simulate_rwrs(config, map_fn):
-    law = IncrementLaw.for_alpha(config.alpha)
     grid = GridSpec(np.asarray(config.s_grid), np.asarray(config.t_grid))
-    fn = partial(empirical_sheet_replicate, alpha=Alpha.of(config.alpha),
-                 n=config.n, s_grid=config.s_grid, t_grid=config.t_grid,
-                 master_seed=config.master_seed, law=law, scaled=False)
+    kernel = partial(discrete_kernel, alpha=config.alpha, n=config.n,
+                     master_seed=config.master_seed, grid=grid, scaled=False)
     files: dict[str, str] = {}
-    for r, values in enumerate(map_fn(fn, range(config.replicates))):
+    for r, values in enumerate(samples(kernel, config.replicates, map_fn)["sheet"]):
         suffix = f"_rep{r:03d}" if config.replicates > 1 else ""
         base = _base_name(config) + suffix
         sheet = EmpiricalSheet(
@@ -230,12 +234,9 @@ def _exp_simulate_rwrs(config, map_fn):
 
 
 def _exp_simulate_limit(config, map_fn):
-    scale = limit_scale(config.alpha, config=_limit_config(config))
-    fn = partial(limit_sheet_replicate, alpha=Alpha.of(config.alpha),
-                 s_cuts=config.s_grid, t_grid=config.t_grid, scale=scale,
-                 config=_limit_config(config), master_seed=config.master_seed)
+    kernel = _limit_kernel(config, grids=((config.s_grid, config.t_grid),))
     files: dict[str, str] = {}
-    for r, sheet in enumerate(map_fn(fn, range(config.replicates))):
+    for r, sheet in enumerate(samples(kernel, config.replicates, map_fn)["sheets"][0]):
         suffix = f"_rep{r:03d}" if config.replicates > 1 else ""
         base = _base_name(config) + suffix
         files[base + ".csv"] = sheet_to_csv(sheet.values, sheet.s_cuts, sheet.t_grid)
@@ -272,10 +273,11 @@ def _exp_verify_lemma1(config, map_fn):
 
 
 def _exp_verify_fdd(config, map_fn):
-    reports = verify_fdd(
+    result = verify_fdd(
         config.alpha, config.points, config.n, config.replicates,
         _limit_config(config), master_seed=config.master_seed,
         permutations=config.permutations, map_fn=map_fn)
+    reports = result.reports
     header = ["alpha", "n", "kind", "point_a", "point_b", "theta",
               "statistic_name", "statistic", "p_value", "n_a", "n_b"]
     rows, summary = [], []
@@ -298,14 +300,9 @@ def _exp_verify_fdd(config, map_fn):
     terminal = [p for p in config.points if p[0] == 1.0]
     if terminal and config.alpha == 2.0:
         s, t = terminal[0]
-        discrete = fdd_discrete_samples(config.alpha, [(s, t)], config.n,
-                                        config.replicates, config.master_seed,
-                                        map_fn=map_fn)
-        quad = limit_quadratic_samples(config.alpha, (1.0,), config.replicates,
-                                       _limit_config(config),
-                                       config.master_seed, map_fn=map_fn)
-        var_d = float(np.var(discrete[:, 0], ddof=1))
-        var_limit = float(t * (1.0 - t) * quad[:, 0, 0].mean())
+        discrete = result.discrete[:, config.points.index(terminal[0])]
+        var_d = float(np.var(discrete, ddof=1))
+        var_limit = float(t * (1.0 - t) * result.terminal_quadratic[:, 0, 0].mean())
         rel = abs(var_d - var_limit) / var_limit
         ok = rel <= config.var_tol
         rows.append([config.alpha, config.n, "variance", f"({s}, {t})", "",
@@ -364,11 +361,11 @@ def _exp_verify_holder(config, map_fn):
     header = ["alpha", "grid_points", "gamma", "gamma_prime", "median_estimate"]
     rows, summary = [], []
     medians = {}
-    for points in (config.grid_points, 2 * config.grid_points):
-        axis = tuple(np.linspace(0.0, 1.0, points + 1))
-        sheets = limit_sheet_samples(
-            config.alpha, axis, axis, config.replicates,
-            _limit_config(config), config.master_seed, map_fn=map_fn)
+    resolutions = (config.grid_points, 2 * config.grid_points)
+    axes = [tuple(np.linspace(0.0, 1.0, points + 1)) for points in resolutions]
+    kernel = _limit_kernel(config, grids=tuple((axis, axis) for axis in axes))
+    per_grid = samples(kernel, config.replicates, map_fn)["sheets"]
+    for points, sheets in zip(resolutions, per_grid):
         estimates = [holder_norm_estimate(sheet, config.gamma, config.gamma_prime)
                      for sheet in sheets]
         medians[points] = float(np.median(estimates))
@@ -415,16 +412,14 @@ def _exp_verify_selfsim(config, map_fn):
 
 
 def _exp_modulus_sweep(config, map_fn):
-    law = IncrementLaw.for_alpha(config.alpha)
     n_values = config.n_list or (config.n,)
     header = ["alpha", "n", "delta", "median_modulus"]
     rows, summary = [], []
     grid = GridSpec(np.asarray(config.s_grid), np.asarray(config.t_grid))
     for n in n_values:
-        fn = partial(empirical_sheet_replicate, alpha=Alpha.of(config.alpha),
-                     n=int(n), s_grid=config.s_grid, t_grid=config.t_grid,
-                     master_seed=config.master_seed, law=law, scaled=True)
-        all_values = list(map_fn(fn, range(config.replicates)))
+        kernel = partial(discrete_kernel, alpha=config.alpha, n=int(n),
+                         master_seed=config.master_seed, grid=grid)
+        all_values = samples(kernel, config.replicates, map_fn)["sheet"]
         medians = []
         for delta in config.deltas:
             mods = [bickel_wichura_modulus(

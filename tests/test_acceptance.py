@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the whole module takes tens of minutes at the stated sample sizes.
 """
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from scipy.integrate import quad
 from rwrs.config import parse_config
 from rwrs.diagnostics import (
     LimitConfig,
-    discrete_quadratic_samples,
-    fdd_discrete_samples,
+    discrete_kernel,
     ks_statistic,
-    limit_quadratic_samples,
-    limit_sheet_samples,
+    limit_kernel,
+    limit_scale,
     moment_scaling,
+    samples,
     self_similarity_factor,
     self_similarity_test,
     structure_function,
@@ -38,6 +39,18 @@ from rwrs.walk import GridSpec, empirical_sheet, occupation_map, simulate_walk
 pytestmark = pytest.mark.acceptance
 
 FULL_RES = LimitConfig(steps=1 << 17, cells=512)
+
+
+def _limit_samples(alpha, replicates, config, master_seed, **outputs):
+    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
+                     config=config, master_seed=master_seed, **outputs)
+    return samples(kernel, replicates)
+
+
+def _quadratic_samples(alpha, s_vec, n, replicates, master_seed):
+    kernel = partial(discrete_kernel, alpha=alpha, n=n, master_seed=master_seed,
+                     s_vec=s_vec)
+    return samples(kernel, replicates)["quadratic"]
 
 
 def _report(num: int, detail: str) -> None:
@@ -131,9 +144,9 @@ def test_criterion_3_occupation_vs_local_time():
     ks12, ks16 = [], []
     for meta in range(10):
         seed = 5000 + meta
-        pool = limit_quadratic_samples(2.0, s_vec, 4000, meta_cfg, master_seed=seed)
-        d12 = discrete_quadratic_samples(2.0, s_vec, 1 << 12, 4000, master_seed=seed)
-        d16 = discrete_quadratic_samples(2.0, s_vec, 1 << 16, 4000, master_seed=seed)
+        pool = _limit_samples(2.0, 4000, meta_cfg, seed, s_vec=s_vec)["quadratic"]
+        d12 = _quadratic_samples(2.0, s_vec, 1 << 12, 4000, seed)
+        d16 = _quadratic_samples(2.0, s_vec, 1 << 16, 4000, seed)
         ks12.append(np.mean([ks_statistic(d12[:, i, j], pool[:, i, j])
                              for i, j in entries]))
         ks16.append(np.mean([ks_statistic(d16[:, i, j], pool[:, i, j])
@@ -150,7 +163,7 @@ def test_criterion_4_fdd_marginals():
     point = (1.0, 0.5)
 
     reports = verify_fdd(2.0, [point], 1 << 16, 1500, FULL_RES,
-                         master_seed=4100, permutations=1000)
+                         master_seed=4100, permutations=1000).reports
     p2 = reports[("point", point)].p_value
     assert p2 > 0.01
 
@@ -159,10 +172,11 @@ def test_criterion_4_fdd_marginals():
     # quadrature from the Gaussian transition density; replicates are not
     # pinned by the criterion, so 4000 keeps the estimator noise well under
     # the 10% tolerance
-    discrete = fdd_discrete_samples(2.0, [point], 1 << 16, 4000, master_seed=4100)
-    quadratic = limit_quadratic_samples(2.0, (1.0,), 4000, FULL_RES,
-                                        master_seed=4150)
-    var_d = float(np.var(discrete[:, 0], ddof=1))
+    grid = GridSpec(np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]))
+    sheets = samples(partial(discrete_kernel, alpha=2.0, n=1 << 16,
+                             master_seed=4100, grid=grid), 4000)["sheet"]
+    quadratic = _limit_samples(2.0, 4000, FULL_RES, 4150, s_vec=(1.0,))["quadratic"]
+    var_d = float(np.var(sheets[:, 1, 1], ddof=1))
     mean_r = float(quadratic[:, 0, 0].mean())
     var_limit = 0.25 * mean_r
     rel = abs(var_d - var_limit) / var_limit
@@ -174,7 +188,7 @@ def test_criterion_4_fdd_marginals():
 
     law15 = IncrementLaw.power_tail(1.5)
     reports15 = verify_fdd(1.5, [point], 1 << 16, 1500, FULL_RES,
-                           master_seed=4200, law=law15, permutations=1000)
+                           master_seed=4200, law=law15, permutations=1000).reports
     p15 = reports15[("point", point)].p_value
     assert p15 > 0.01
     _report(4, f"alpha=2 p={p2:.3f}, var rel={rel:.3f} "
@@ -220,8 +234,8 @@ def test_criterion_7_directional_regularity():
     details = []
     for alpha, seed, target_s, tol_s in ((2.0, 7100, 1.5, 0.15),
                                          (1.5, 7200, 2 * (1 - 1 / 3), 0.15)):
-        sheets = limit_sheet_samples(alpha, s_grid, t_grid, 500, FULL_RES,
-                                     master_seed=seed)
+        sheets = _limit_samples(alpha, 500, FULL_RES, seed,
+                                grids=((s_grid, t_grid),))["sheets"][0]
         fit_s = structure_function(sheets, "s", 2, lags_s)
         fit_t = structure_function(sheets, "t", 2, lags_t)
         assert abs(fit_s.slope - target_s) <= tol_s, \

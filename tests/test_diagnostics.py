@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from rwrs.diagnostics import (
     LimitConfig,
     SampleSet,
     bickel_wichura_modulus,
-    discrete_quadratic_samples,
+    discrete_kernel,
     energy_statistic_pairwise,
-    fdd_discrete_samples,
-    fdd_limit_samples,
     fit_loglog,
     holder_norm_estimate,
-    limit_quadratic_samples,
+    limit_kernel,
+    limit_scale,
     moment_scaling,
+    samples,
     self_similarity_factor,
     self_similarity_test,
     structure_function,
@@ -20,11 +22,33 @@ from rwrs.diagnostics import (
     verify_fdd,
     verify_lemma1,
 )
-from rwrs.limit import LimitSheet
-from rwrs.walk import EmpiricalSheet, GridSpec
-from rwrs.randomness import Alpha
+from rwrs.limit import (
+    LimitSheet,
+    default_cell_width,
+    kiefer_increments,
+    limit_sheet,
+    local_time_field,
+    local_time_quadratic,
+    simulate_levy_path,
+)
+from rwrs.walk import (
+    EmpiricalSheet,
+    GridSpec,
+    empirical_sheet,
+    occupation_quadratic,
+    occupation_statistic,
+    rescale,
+    simulate_walk,
+)
+from rwrs.randomness import Alpha, IncrementLaw, SeedScheme, StreamKind
 
 SMALL_LIMIT = LimitConfig(steps=2048, cells=64)
+
+
+def _limit_samples(alpha, replicates, config, master_seed, **outputs):
+    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
+                     config=config, master_seed=master_seed, **outputs)
+    return samples(kernel, replicates)
 
 
 def _limit_sheet(values, s_axis, t_axis):
@@ -228,15 +252,13 @@ def test_holder_norm_trivials():
 def test_structure_slope_ordering_in_alpha():
     # the level-direction exponent carries no alpha, while the time-direction
     # exponent 2(1 - 1/(2 alpha)) increases with alpha
-    from rwrs.diagnostics import limit_sheet_samples
-
     cfg = LimitConfig(steps=1 << 16, cells=512)
     s_grid = tuple(np.linspace(0.0, 1.0, 33))
     t_grid = tuple(np.linspace(0.0, 1.0, 65))
     fits = []
     for i, alpha in enumerate((1.2, 1.5, 2.0)):
-        sheets = limit_sheet_samples(alpha, s_grid, t_grid, 300, cfg,
-                                     master_seed=900 + i)
+        sheets = _limit_samples(alpha, 300, cfg, 900 + i,
+                                grids=((s_grid, t_grid),))["sheets"][0]
         fits.append(structure_function(sheets, "s", 2, [1 / 16, 1 / 8, 1 / 4]))
     for lo, hi in zip(fits, fits[1:]):
         assert lo.slope + 2 * lo.stderr < hi.slope - 2 * hi.stderr
@@ -246,13 +268,11 @@ def test_structure_slope_ordering_in_alpha():
 def test_holder_estimate_refinement_behavior():
     # below the critical s-exponent the estimate is stable under grid
     # refinement (within a factor 2); above it the estimate keeps growing
-    from rwrs.diagnostics import limit_sheet_samples
-
     cfg = LimitConfig(steps=1 << 17, cells=512)
     medians = {}
     for gpts in (64, 128):
         axis = tuple(np.linspace(0.0, 1.0, gpts + 1))
-        sheets = limit_sheet_samples(2.0, axis, axis, 40, cfg, master_seed=701)
+        sheets = _limit_samples(2.0, 40, cfg, 701, grids=((axis, axis),))["sheets"][0]
         medians[gpts] = {
             g: float(np.median([holder_norm_estimate(s, g, 0.45) for s in sheets]))
             for g in (0.7, 0.9)}
@@ -260,6 +280,56 @@ def test_holder_estimate_refinement_behavior():
     supercritical = medians[128][0.9] / medians[64][0.9]
     assert 0.5 <= subcritical <= 2.0
     assert supercritical > 1.0
+
+
+def test_discrete_kernel_equals_direct_composition():
+    law = IncrementLaw.for_alpha(1.5)
+    grid = GridSpec(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 1.0]))
+    s_vec = (0.5, 1.0)
+    kernel = partial(discrete_kernel, alpha=1.5, n=512, master_seed=41, grid=grid,
+                     s_vec=s_vec, functional="sumN2")
+    drawn = samples(kernel, 8)
+    for index in (0, 3, 7):
+        path = simulate_walk(512, law, SeedScheme(41, StreamKind.WALK, index))
+        sheet = empirical_sheet(path, SeedScheme(41, StreamKind.SCENERY, index), grid)
+        out = kernel(index)
+        assert np.array_equal(out["sheet"], rescale(sheet).values)
+        assert np.array_equal(out["quadratic"],
+                              occupation_quadratic(path, np.asarray(s_vec), 1.5))
+        assert out["functional"] == occupation_statistic(path, "sumN2", 1.5)
+        raw = discrete_kernel(index, 1.5, 512, 41, grid=grid, scaled=False)
+        assert raw.keys() == {"sheet"}
+        assert np.array_equal(raw["sheet"], sheet.values)
+        for key in ("sheet", "quadratic", "functional"):
+            assert np.array_equal(drawn[key][index], out[key])
+
+
+def test_limit_kernel_equals_direct_composition():
+    grids = ((np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)),
+             ((0.25, 1.0), (0.0, 0.5, 1.0)))
+    cfg = SMALL_LIMIT
+    # (0.5, 1) lies on the first grid's cuts, (0.3, 1) on no grid's
+    for s_vec in ((0.5, 1.0), (0.3, 1.0)):
+        kernel = partial(limit_kernel, alpha=1.5, scale=0.8, config=cfg,
+                         master_seed=43, grids=grids, s_vec=s_vec)
+        drawn = samples(kernel, 8)
+        for index in (0, 3, 7):
+            path = simulate_levy_path(1.5, 0.8, cfg.steps,
+                                      SeedScheme(43, StreamKind.LEVY, index))
+            dx = default_cell_width(path, cfg.cells)
+            out = kernel(index)
+            for g, (s_cuts, t_grid) in enumerate(grids):
+                lt = local_time_field(path, dx, np.asarray(s_cuts))
+                kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid),
+                                       SeedScheme(43, StreamKind.KIEFER, index))
+                expected = limit_sheet(lt, kf)
+                for sheet in (out["sheets"][g], drawn["sheets"][g][index]):
+                    assert np.array_equal(sheet.values, expected.values)
+                    assert sheet.provenance == expected.provenance
+            lt = local_time_field(path, dx, np.asarray(s_vec))
+            expected = local_time_quadratic(lt, np.asarray(s_vec))
+            assert np.array_equal(out["quadratic"], expected)
+            assert np.array_equal(drawn["quadratic"][index], expected)
 
 
 def test_verify_lemma1_preconditions():
@@ -275,8 +345,9 @@ def test_verify_fdd_preconditions():
 
 
 def test_degenerate_cut_gives_zero_distance():
-    d = discrete_quadratic_samples(2.0, (0.0, 1.0), 256, 40, master_seed=23)
-    l = limit_quadratic_samples(2.0, (0.0, 1.0), 40, SMALL_LIMIT, master_seed=23)
+    d = samples(partial(discrete_kernel, alpha=2.0, n=256, master_seed=23,
+                        s_vec=(0.0, 1.0)), 40)["quadratic"]
+    l = _limit_samples(2.0, 40, SMALL_LIMIT, 23, s_vec=(0.0, 1.0))["quadratic"]
     assert np.all(d[:, 0, 0] == 0.0) and np.all(l[:, 0, 0] == 0.0)
     assert np.all(d[:, 0, 1] == 0.0) and np.all(l[:, 0, 1] == 0.0)
     rep = two_sample_distance(d[:, 0, 1], l[:, 0, 1], "ks", 500)
@@ -284,15 +355,19 @@ def test_degenerate_cut_gives_zero_distance():
 
 
 def test_fdd_degenerate_point():
-    d = fdd_discrete_samples(2.0, [(0.0, 0.5)], 16384, 30, master_seed=29)
-    l = fdd_limit_samples(2.0, [(0.0, 0.5)], 30, SMALL_LIMIT, master_seed=29)
-    assert np.all(d == 0.0) and np.all(l == 0.0)
+    grid = GridSpec(np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]))
+    d = samples(partial(discrete_kernel, alpha=2.0, n=16384, master_seed=29,
+                        grid=grid), 30)["sheet"]
+    l = _limit_samples(2.0, 30, SMALL_LIMIT, 29,
+                       grids=(((0.0,), (0.0, 0.5, 1.0)),))["sheets"][0]
+    assert np.all(d[:, 0, 1] == 0.0)
+    assert all(sheet.values[0, 1] == 0.0 for sheet in l)
 
 
 def test_fdd_small_run_shapes():
     points = [(1.0, 0.5), (0.5, 0.25)]
     reports = verify_fdd(2.0, points, 16384, 60, SMALL_LIMIT, master_seed=31,
-                         permutations=500)
+                         permutations=500).reports
     point_keys = [k for k in reports if k[0] == "point"]
     pair_keys = [k for k in reports if k[0] == "pair"]
     assert len(point_keys) == 2

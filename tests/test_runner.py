@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import rwrs.diagnostics
+import rwrs.runner
 from rwrs.cli import main
 from rwrs.config import config_hash, parse_config
 from rwrs.io import parse_sheet_csv
@@ -14,6 +17,12 @@ RWRS_SMALL = ("experiment: simulate-rwrs\nalpha: 2.0\nn: 8\nreplicates: 1\n"
               "master_seed: 5\n"
               "s_grid: 0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1\n"
               "t_grid: 0, 0.25, 0.5, 0.75, 1\n")
+FDD_SMALL = ("experiment: verify-fdd\nalpha: 2.0\nn: 16384\nreplicates: 40\n"
+             "K: 1024\ncells: 32\npoints: 1:0.5, 0:0.25\nmaster_seed: 11\n"
+             "permutations: 500\n")
+HOLDER_SMALL = ("experiment: verify-holder\nalpha: 2.0\nreplicates: 6\nK: 1024\n"
+                "cells: 32\ngrid_points: 8\ngamma: 0.7\ngamma_prime: 0.45\n"
+                "master_seed: 13\n")
 
 
 def _run(text: str, tmp_path, **overrides):
@@ -70,6 +79,49 @@ def test_limit_experiment_workers_identical(tmp_path):
         assert (out["w1"] / f).read_bytes() == (out["w8"] / f).read_bytes()
 
 
+@pytest.mark.parametrize("text", [FDD_SMALL, HOLDER_SMALL],
+                         ids=["verify-fdd", "verify-holder"])
+def test_verify_experiment_workers_identical(tmp_path, text):
+    out = {}
+    for name, workers in (("w1", 1), ("pool", 2)):
+        d = tmp_path / name
+        d.mkdir()
+        _run(text, d, workers=workers)
+        out[name] = d
+    names = sorted(p.name for p in out["w1"].iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in out["pool"].iterdir()
+                           if p.name != "manifest.json")
+    for f in names:
+        if f.endswith("_reports.json"):
+            # the config hash covers the worker count
+            a, b = (json.loads((out[k] / f).read_text()) for k in ("w1", "pool"))
+            a["meta"].pop("config_hash")
+            b["meta"].pop("config_hash")
+            assert a == b
+        else:
+            assert (out["w1"] / f).read_bytes() == (out["pool"] / f).read_bytes()
+
+
+@pytest.mark.parametrize("text, kinds", [
+    (FDD_SMALL, {StreamKind.WALK, StreamKind.LEVY}),
+    (HOLDER_SMALL, {StreamKind.LEVY}),
+], ids=["verify-fdd", "verify-holder"])
+def test_each_path_is_simulated_once(tmp_path, monkeypatch, text, kinds):
+    calls = Counter()
+    for name in ("simulate_walk", "simulate_levy_path"):
+        original = getattr(rwrs.diagnostics, name)
+
+        def counted(*args, _original=original):
+            seed = args[-1]
+            calls[(seed.stream_kind, seed.replicate_index)] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rwrs.diagnostics, name, counted)
+    cfg, _ = _run(text, tmp_path)
+    assert calls == Counter({(kind, r): 1 for kind in kinds
+                             for r in range(cfg.replicates)})
+
+
 def test_missing_output_dir_leaves_nothing(tmp_path):
     cfg = parse_config(RWRS_SMALL, {"output_dir": str(tmp_path / "nope")})
     with pytest.raises(FileNotFoundError):
@@ -91,6 +143,24 @@ def test_failure_removes_partial_outputs(tmp_path):
     assert manifest["error"]
 
 
+def test_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
+    class InterruptedFiles(dict):
+        # the interrupt arrives after the first output file is written
+        def items(self):
+            yield "partial.csv", "x\n"
+            raise KeyboardInterrupt
+
+    monkeypatch.setitem(rwrs.runner._EXPERIMENT_IMPL, "simulate-rwrs",
+                        lambda config, map_fn: (InterruptedFiles(), []))
+    cfg = parse_config(RWRS_SMALL, {"output_dir": str(tmp_path)})
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("KeyboardInterrupt")
+
+
 def test_manifest_completeness(tmp_path):
     cfg, manifest = _run(RWRS_SMALL, tmp_path)
     data = json.loads((tmp_path / "manifest.json").read_text())
@@ -104,10 +174,7 @@ def test_manifest_completeness(tmp_path):
 
 
 def test_verify_fdd_experiment(tmp_path):
-    text = ("experiment: verify-fdd\nalpha: 2.0\nn: 16384\nreplicates: 40\n"
-            "K: 1024\ncells: 32\npoints: 1:0.5, 0:0.25\nmaster_seed: 11\n"
-            "permutations: 500\n")
-    cfg, manifest = _run(text, tmp_path)
+    cfg, manifest = _run(FDD_SMALL, tmp_path)
     table = (tmp_path / "verify-fdd_2.0_16384.csv").read_text()
     lines = table.strip().split("\n")
     assert lines[0].startswith("alpha,n,kind")
@@ -124,10 +191,7 @@ def test_verify_fdd_experiment(tmp_path):
 
 
 def test_verify_holder_experiment(tmp_path):
-    text = ("experiment: verify-holder\nalpha: 2.0\nreplicates: 6\nK: 1024\n"
-            "cells: 32\ngrid_points: 8\ngamma: 0.7\ngamma_prime: 0.45\n"
-            "master_seed: 13\n")
-    cfg, manifest = _run(text, tmp_path)
+    cfg, manifest = _run(HOLDER_SMALL, tmp_path)
     table = (tmp_path / "verify-holder_2.0_16384.csv").read_text()
     assert len(table.strip().split("\n")) == 3  # header + both resolutions
     assert "holder" in (tmp_path / "summary.txt").read_text()
