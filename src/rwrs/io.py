@@ -6,6 +6,8 @@ produce byte-identical files.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -85,7 +87,11 @@ def reports_json(entries: list[dict], meta: dict) -> str:
 
 
 def rows_to_csv(header: list[str], rows: list[list]) -> str:
-    """Plain summary-table CSV; numbers formatted for exact round-trips."""
+    """Summary-table CSV; numbers formatted for exact round-trips.
+
+    Cells that hold a comma, such as point tuples, are quoted, so every row
+    has as many fields as the header.
+    """
     def cell(x) -> str:
         if isinstance(x, (bool, np.bool_)):
             return str(bool(x))
@@ -95,6 +101,8 @@ def rows_to_csv(header: list[str], rows: list[list]) -> str:
             return _fmt(x)
         return str(x)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(x) for x in row] for row in rows)
+    return out.getvalue()

@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 from collections import Counter
 
@@ -8,6 +11,7 @@ import rwrs.diagnostics
 import rwrs.runner
 from rwrs.cli import main
 from rwrs.config import config_hash, parse_config
+from rwrs.diagnostics import THETA_COMBINATIONS
 from rwrs.io import parse_sheet_csv
 from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind, derive_site_value
 from rwrs.runner import run_experiment
@@ -188,6 +192,20 @@ def test_verify_fdd_experiment(tmp_path):
     assert bundle["meta"]["master_seed"] == 11
     first = bundle["reports"][0]
     assert {"statistic", "p_value", "sample_sizes", "permutations"} <= set(first)
+
+
+def test_verify_fdd_csv_fields_match_header(tmp_path):
+    cfg, _ = _run(FDD_SMALL, tmp_path)
+    text = (tmp_path / "verify-fdd_2.0_16384.csv").read_text()
+    header, *rows = csv.reader(io.StringIO(text))
+    assert rows
+    col = {name: header.index(name) for name in ("kind", "point_a", "point_b", "theta")}
+    for row in rows:
+        assert len(row) == len(header)
+        assert ast.literal_eval(row[col["point_a"]]) in cfg.points
+        if row[col["kind"]] == "pair":
+            assert ast.literal_eval(row[col["point_b"]]) in cfg.points
+            assert ast.literal_eval(row[col["theta"]]) in THETA_COMBINATIONS
 
 
 def test_verify_holder_experiment(tmp_path):
