@@ -287,6 +287,13 @@ def limit_kernel(index: int, alpha, scale: float, config: LimitConfig,
     return out
 
 
+def matched_limit_kernel(alpha, config: LimitConfig, master_seed: int, law=None,
+                         **outputs):
+    """:func:`limit_kernel` at the stable scale matching the walk law."""
+    return partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, law, config),
+                   config=config, master_seed=master_seed, **outputs)
+
+
 def samples(kernel, replicates: int, map_fn=map) -> dict:
     """Outputs of ``kernel`` over replicate indices 0..replicates-1.
 
@@ -334,9 +341,7 @@ def verify_lemma1(alpha, s_vec, n: int, replicates: int,
     discrete = samples(partial(discrete_kernel, alpha=alpha, n=n,
                                master_seed=master_seed, law=law, s_vec=s_vec),
                        replicates, map_fn)["quadratic"]
-    limit = samples(partial(limit_kernel, alpha=alpha,
-                            scale=limit_scale(alpha, law, config), config=config,
-                            master_seed=master_seed, s_vec=s_vec),
+    limit = samples(matched_limit_kernel(alpha, config, master_seed, law, s_vec=s_vec),
                     replicates, map_fn)["quadratic"]
     reports = {}
     for i in range(len(s_vec)):
@@ -371,10 +376,8 @@ def verify_fdd(alpha, points, n: int, replicates: int,
     sheets = samples(partial(discrete_kernel, alpha=alpha, n=n,
                              master_seed=master_seed, law=law, grid=grid),
                      replicates, map_fn)["sheet"]
-    drawn = samples(partial(limit_kernel, alpha=alpha,
-                            scale=limit_scale(alpha, law, config), config=config,
-                            master_seed=master_seed, grids=((s_cuts, t_grid),),
-                            s_vec=terminal),
+    drawn = samples(matched_limit_kernel(alpha, config, master_seed, law,
+                                         grids=((s_cuts, t_grid),), s_vec=terminal),
                     replicates, map_fn)
     discrete = _at_points(sheets, grid.s, grid.t, points)
     limit = _at_points(np.stack([sheet.values for sheet in drawn["sheets"][0]]),
@@ -525,10 +528,8 @@ def self_similarity_test(alpha, a: float, s0: float, t0: float,
         raise ValueError("s0 must lie in (0, 1]")
     s_cuts = (a * s0, s0)
     t_grid = tuple(np.unique(np.asarray([0.0, t0, 1.0])))
-    config = limit_config or LimitConfig()
-    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
-                     config=config, master_seed=master_seed,
-                     grids=((s_cuts, t_grid),))
+    kernel = matched_limit_kernel(alpha, limit_config or LimitConfig(), master_seed,
+                                  grids=((s_cuts, t_grid),))
     sheets = samples(kernel, 2 * replicates, map_fn)["sheets"][0]
     j = int(np.searchsorted(np.asarray(t_grid), t0))
     shrunk = np.array([sheet.values[0, j] for sheet in sheets[:replicates]])

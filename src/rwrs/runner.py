@@ -23,8 +23,7 @@ from .diagnostics import (
     bickel_wichura_modulus,
     discrete_kernel,
     holder_norm_estimate,
-    limit_kernel,
-    limit_scale,
+    matched_limit_kernel,
     moment_scaling,
     samples,
     self_similarity_factor,
@@ -111,14 +110,6 @@ def _limit_config(config: ExperimentConfig) -> LimitConfig:
     return LimitConfig(steps=config.K, cells=config.cells,
                        n_calib=config.n_calib,
                        calib_replicates=config.calib_replicates)
-
-
-def _limit_kernel(config: ExperimentConfig, **outputs):
-    """The limit kernel at the config's resolution, seed and matching scale."""
-    limit_config = _limit_config(config)
-    return partial(limit_kernel, alpha=config.alpha,
-                   scale=limit_scale(config.alpha, config=limit_config),
-                   config=limit_config, master_seed=config.master_seed, **outputs)
 
 
 def _base_name(config: ExperimentConfig, n: int | None = None) -> str:
@@ -234,7 +225,9 @@ def _exp_simulate_rwrs(config, map_fn):
 
 
 def _exp_simulate_limit(config, map_fn):
-    kernel = _limit_kernel(config, grids=((config.s_grid, config.t_grid),))
+    kernel = matched_limit_kernel(config.alpha, _limit_config(config),
+                                  config.master_seed,
+                                  grids=((config.s_grid, config.t_grid),))
     files: dict[str, str] = {}
     for r, sheet in enumerate(samples(kernel, config.replicates, map_fn)["sheets"][0]):
         suffix = f"_rep{r:03d}" if config.replicates > 1 else ""
@@ -363,7 +356,9 @@ def _exp_verify_holder(config, map_fn):
     medians = {}
     resolutions = (config.grid_points, 2 * config.grid_points)
     axes = [tuple(np.linspace(0.0, 1.0, points + 1)) for points in resolutions]
-    kernel = _limit_kernel(config, grids=tuple((axis, axis) for axis in axes))
+    kernel = matched_limit_kernel(config.alpha, _limit_config(config),
+                                  config.master_seed,
+                                  grids=tuple((axis, axis) for axis in axes))
     per_grid = samples(kernel, config.replicates, map_fn)["sheets"]
     for points, sheets in zip(resolutions, per_grid):
         estimates = [holder_norm_estimate(sheet, config.gamma, config.gamma_prime)

@@ -15,8 +15,7 @@ from rwrs.diagnostics import (
     LimitConfig,
     discrete_kernel,
     ks_statistic,
-    limit_kernel,
-    limit_scale,
+    matched_limit_kernel,
     moment_scaling,
     samples,
     self_similarity_factor,
@@ -42,9 +41,8 @@ FULL_RES = LimitConfig(steps=1 << 17, cells=512)
 
 
 def _limit_samples(alpha, replicates, config, master_seed, **outputs):
-    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
-                     config=config, master_seed=master_seed, **outputs)
-    return samples(kernel, replicates)
+    return samples(matched_limit_kernel(alpha, config, master_seed, **outputs),
+                   replicates)
 
 
 def _quadratic_samples(alpha, s_vec, n, replicates, master_seed):

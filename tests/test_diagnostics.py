@@ -12,7 +12,7 @@ from rwrs.diagnostics import (
     fit_loglog,
     holder_norm_estimate,
     limit_kernel,
-    limit_scale,
+    matched_limit_kernel,
     moment_scaling,
     samples,
     self_similarity_factor,
@@ -46,9 +46,8 @@ SMALL_LIMIT = LimitConfig(steps=2048, cells=64)
 
 
 def _limit_samples(alpha, replicates, config, master_seed, **outputs):
-    kernel = partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, config=config),
-                     config=config, master_seed=master_seed, **outputs)
-    return samples(kernel, replicates)
+    return samples(matched_limit_kernel(alpha, config, master_seed, **outputs),
+                   replicates)
 
 
 def _limit_sheet(values, s_axis, t_axis):

@@ -206,6 +206,9 @@ def test_verify_fdd_csv_fields_match_header(tmp_path):
         if row[col["kind"]] == "pair":
             assert ast.literal_eval(row[col["point_b"]]) in cfg.points
             assert ast.literal_eval(row[col["theta"]]) in THETA_COMBINATIONS
+    point_rows = [row for row in rows if row[col["kind"]] == "point"]
+    assert sorted(ast.literal_eval(row[col["point_a"]]) for row in point_rows) \
+        == sorted(cfg.points)
 
 
 def test_verify_holder_experiment(tmp_path):
