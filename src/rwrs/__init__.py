@@ -9,7 +9,6 @@ from .randomness import (  # noqa: F401
     LawKind,
     SeedScheme,
     StreamKind,
-    calibrate_stable_scale,
     derive_site_value,
     sample_increment,
     sample_increments,

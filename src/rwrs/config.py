@@ -52,8 +52,6 @@ class ExperimentConfig:
     gamma_prime: float = 0.45
     grid_points: int = 64
     permutations: int = 1000
-    n_calib: int = 20000
-    calib_replicates: int = 4000
     # acceptance thresholds applied by the runner
     p_value_min: float = 0.01
     var_tol: float = 0.10
@@ -83,8 +81,6 @@ _PARSERS = {
     "gamma_prime": float,
     "grid_points": int,
     "permutations": int,
-    "n_calib": int,
-    "calib_replicates": int,
     "p_value_min": float,
     "var_tol": float,
     "holder_ratio_max": float,

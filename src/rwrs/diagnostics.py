@@ -8,7 +8,7 @@ pool's ``map``) and produces the same output for any degree of parallelism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -28,7 +28,6 @@ from .randomness import (
     SeedScheme,
     StreamKind,
     _fold,
-    calibrate_stable_scale,
     stream_generator,
 )
 from .walk import (
@@ -89,8 +88,6 @@ class LimitConfig:
 
     steps: int = 1 << 17
     cells: int = 512
-    n_calib: int = 20_000
-    calib_replicates: int = 4_000
 
 
 @dataclass(frozen=True)
@@ -223,11 +220,11 @@ def law_for_alpha(alpha, law: IncrementLaw | None = None) -> IncrementLaw:
 
 def limit_scale(alpha, law: IncrementLaw | None = None,
                 config: LimitConfig | None = None) -> float:
-    """Stable scale matching the walk law; cached inside calibrate."""
-    config = config or LimitConfig()
-    return calibrate_stable_scale(law_for_alpha(alpha, law),
-                                  n_calib=config.n_calib,
-                                  replicates=config.calib_replicates)
+    """Stable scale matching the walk law (:attr:`IncrementLaw.stable_scale`).
+
+    ``config`` does not affect the result; it is accepted for existing callers.
+    """
+    return law_for_alpha(alpha, law).stable_scale
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +261,28 @@ def limit_kernel(index: int, alpha, scale: float, config: LimitConfig,
 
     ``sheets`` holds one limit sheet per ``(s_cuts, t_grid)`` pair in
     ``grids``, all driven by the same path and Kiefer stream; ``quadratic``
-    holds the local-time cross products at ``s_vec``, read from a grid's
-    local-time field when that field has every cut.
+    holds the local-time cross products at ``s_vec``. The path is binned
+    once, at every requested cut, and each output reads its rows of that
+    one local-time field.
     """
     path = simulate_levy_path(alpha, scale, config.steps,
                               SeedScheme(master_seed, StreamKind.LEVY, index))
-    dx = default_cell_width(path, config.cells)
+    cuts = [np.asarray(s_cuts, dtype=np.float64) for s_cuts, _ in grids]
+    if s_vec is not None:
+        s_vec = np.asarray(s_vec, dtype=np.float64)
+        cuts.append(s_vec)
+    union = np.unique(np.concatenate(cuts))
+    lt = local_time_field(path, default_cell_width(path, config.cells), union)
     kiefer_seed = SeedScheme(master_seed, StreamKind.KIEFER, index)
-    fields, sheets = [], []
-    for s_cuts, t_grid in grids:
-        lt = local_time_field(path, dx, np.asarray(s_cuts))
+    sheets = []
+    for s_cuts, (_, t_grid) in zip(cuts, grids):
+        # the grid's own rows, as a field binned at s_cuts alone would hold them
+        rows = replace(lt, s_cuts=s_cuts,
+                       values=lt.values[np.searchsorted(union, s_cuts)])
         kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid), kiefer_seed)
-        fields.append(lt)
-        sheets.append(limit_sheet(lt, kf))
+        sheets.append(limit_sheet(rows, kf))
     out = {"sheets": tuple(sheets)} if grids else {}
     if s_vec is not None:
-        s_vec = np.asarray(s_vec)
-        lt = next((f for f in fields if np.all(np.isin(s_vec, f.s_cuts))), None)
-        if lt is None:
-            lt = local_time_field(path, dx, s_vec)
         out["quadratic"] = local_time_quadratic(lt, s_vec)
     return out
 

@@ -9,6 +9,7 @@ in any order, on any worker, and reproduce bit-identically.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -196,6 +197,26 @@ class IncrementLaw:
             return 0.5 if k == 0 else 0.0
         return 2.0 * self.tail_constant * float(zeta(self.alpha.value + 1.0, k + 1))
 
+    @property
+    def stable_scale(self) -> float:
+        """Scale of the stable limit of n^(-1/alpha) S_n.
+
+        At alpha < 2 the limit is ``scale`` times a draw of
+        :func:`stable_standard_sample` (characteristic function
+        exp(-|t|^alpha)). For P(+-k) = c k^(-alpha-1) each tail of the step
+        is asymptotically (c/alpha) x^(-alpha), which gives
+        scale^alpha = (2c/alpha) Gamma(1-alpha) cos(pi alpha/2)
+        (Feller, Vol. II, XVII.5; Samorodnitsky and Taqqu 1994). For the
+        lazy simple walk it is the per-step standard deviation sqrt(1/2).
+        """
+        if self.kind is LawKind.LAZY_SIMPLE:
+            return math.sqrt(0.5)
+        if self.tail_constant == 0.0:
+            raise ValueError("increment law has a degenerate stable limit")
+        a = self.alpha.value
+        return (2.0 * self.tail_constant / a * math.gamma(1.0 - a)
+                * math.cos(math.pi * a / 2.0)) ** (1.0 / a)
+
     def probability_total(self) -> float:
         """Sum of all probability weights (tabulated part + analytic tail)."""
         if self.kind is LawKind.LAZY_SIMPLE:
@@ -277,49 +298,3 @@ def stable_standard_sample(alpha: Alpha, size: int, rng: Generator) -> np.ndarra
     w = (np.cos((1.0 - a) * theta) / expo) ** ((1.0 - a) / a)
     return s * w
 
-
-_CALIB_SALT = 0x43414C49
-_CALIB_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
-
-
-@lru_cache(maxsize=32)
-def calibrate_stable_scale(
-    law: IncrementLaw,
-    n_calib: int = 20_000,
-    replicates: int = 4_000,
-    master_seed: int = 0,
-) -> float:
-    """Scale parameter matching n^(-1/alpha) S_n to the simulated stable law.
-
-    Matches empirical quantiles at probabilities (0.1, 0.25, 0.5, 0.75, 0.9)
-    against a large unit-scale stable reference sample, in least squares
-    through the origin. For the lazy simple walk the exact per-step standard
-    deviation sqrt(1/2) is returned without simulation.
-    """
-    if law.kind is LawKind.LAZY_SIMPLE:
-        return float(np.sqrt(0.5))
-    if n_calib < 10_000:
-        raise ValueError("n_calib must be >= 10000")
-    if replicates < 100:
-        raise ValueError("replicates must be >= 100")
-
-    a = law.alpha.value
-    sums = np.empty(replicates)
-    for r in range(replicates):
-        rng = stream_generator(
-            SeedScheme(_mix64(master_seed ^ _CALIB_SALT), StreamKind.WALK, r))
-        sums[r] = sample_increments(law, rng, n_calib).sum()
-    scaled = sums * float(n_calib) ** (-1.0 / a)
-
-    ref_rng = stream_generator(
-        SeedScheme(_mix64(master_seed ^ _CALIB_SALT), StreamKind.LEVY, 0))
-    reference = stable_standard_sample(law.alpha, 1_000_000, ref_rng)
-
-    qs = np.asarray(_CALIB_QUANTILES)
-    emp = np.quantile(scaled, qs)
-    ref = np.quantile(reference, qs)
-    denom = float(np.dot(ref, ref))
-    scale = float(np.dot(emp, ref)) / denom
-    if not np.isfinite(scale) or scale <= 0.0 or np.ptp(emp) <= 0.0:
-        raise ValueError("increment law has a degenerate stable limit; cannot calibrate")
-    return scale

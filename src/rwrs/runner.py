@@ -20,6 +20,7 @@ from . import __version__
 from .config import ExperimentConfig, config_hash, serialize_config
 from .diagnostics import (
     LimitConfig,
+    _per_n_seed,
     bickel_wichura_modulus,
     discrete_kernel,
     holder_norm_estimate,
@@ -58,6 +59,9 @@ _SLOPE_CHECKS = {
 }
 
 _MOMENT_FUNCTIONALS = ("sumN2", "sumN3", "sumN4", "maxN_scaled")
+# verify-moments walk lengths when n_list is unset: maxN_scaled, then the sums
+_MAXN_N_LIST = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
+_SUM_N_LIST = (4096, 8192, 16384, 32768, 65536, 131072)
 
 
 @dataclass
@@ -95,21 +99,29 @@ def _now() -> str:
 
 
 def _replicate_seeds(config: ExperimentConfig) -> list:
+    """Key of every stream the experiment draws, one entry per replicate."""
     streams = _EXPERIMENT_STREAMS[config.experiment]
+    if config.experiment == "verify-moments":
+        # the walks of each n are drawn under their own master seed
+        sizes = config.n_list or sorted(set(_MAXN_N_LIST + _SUM_N_LIST))
+        masters = [({"n": n}, _per_n_seed(config.master_seed, n)) for n in sizes]
+    else:
+        masters = [({}, config.master_seed)]
+    # verify-selfsim draws its two sides from replicates 0..R-1 and R..2R-1
+    count = config.replicates * (2 if config.experiment == "verify-selfsim" else 1)
     out = []
-    for r in range(config.replicates):
-        entry = {"replicate": r}
-        for kind in streams:
-            key = SeedScheme(config.master_seed, kind, r).philox_key()
-            entry[kind.value] = f"{key:032x}"
-        out.append(entry)
+    for fields, master in masters:
+        for r in range(count):
+            entry = {**fields, "replicate": r}
+            for kind in streams:
+                key = SeedScheme(master, kind, r).philox_key()
+                entry[kind.value] = f"{key:032x}"
+            out.append(entry)
     return out
 
 
 def _limit_config(config: ExperimentConfig) -> LimitConfig:
-    return LimitConfig(steps=config.K, cells=config.cells,
-                       n_calib=config.n_calib,
-                       calib_replicates=config.calib_replicates)
+    return LimitConfig(steps=config.K, cells=config.cells)
 
 
 def _base_name(config: ExperimentConfig, n: int | None = None) -> str:
@@ -320,10 +332,8 @@ def _exp_verify_moments(config, map_fn):
               "target", "tol", "passed"]
     rows, summary = [], []
     for functional in _MOMENT_FUNCTIONALS:
-        if functional == "maxN_scaled":
-            n_list = config.n_list or (1024, 2048, 4096, 8192, 16384, 32768, 65536)
-        else:
-            n_list = config.n_list or (4096, 8192, 16384, 32768, 65536, 131072)
+        n_list = config.n_list or (
+            _MAXN_N_LIST if functional == "maxN_scaled" else _SUM_N_LIST)
         fit = moment_scaling(alpha, n_list, functional, config.replicates,
                              master_seed=config.master_seed, map_fn=map_fn)
         if functional == "maxN_scaled":

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from rwrs.diagnostics import two_sample_distance
 from rwrs.randomness import (
     Alpha,
     IncrementLaw,
     LawKind,
     SeedScheme,
     StreamKind,
-    calibrate_stable_scale,
     derive_site_value,
     sample_increment,
     sample_increments,
@@ -172,29 +172,27 @@ def test_stable_sampler_rejects_alpha_two():
         stable_standard_sample(Alpha(2.0), 10, rng)
 
 
-def test_calibrate_lazy_exact():
-    assert calibrate_stable_scale(IncrementLaw.lazy_simple()) == pytest.approx(
+def test_stable_scale_lazy_exact():
+    assert IncrementLaw.lazy_simple().stable_scale == pytest.approx(
         np.sqrt(0.5), abs=0.0)
 
 
-def test_calibrate_power_tail_stability():
-    law = IncrementLaw.power_tail(1.5)
-    s1 = calibrate_stable_scale(law, n_calib=10_000, replicates=1500, master_seed=1)
-    s2 = calibrate_stable_scale(law, n_calib=40_000, replicates=1500, master_seed=2)
-    assert s1 > 0 and np.isfinite(s1)
-    assert abs(s1 - s2) / s1 < 0.05
-
-
-def test_calibrate_rejects_bad_arguments():
-    law = IncrementLaw.power_tail(1.5)
-    with pytest.raises(ValueError):
-        calibrate_stable_scale(law, n_calib=5000, replicates=1500)
-    with pytest.raises(ValueError):
-        calibrate_stable_scale(law, n_calib=20_000, replicates=50)
-
-
-def test_calibrate_degenerate_law_errors():
+def test_stable_scale_degenerate_law_errors():
     frozen = IncrementLaw.power_tail(1.5, tail_constant=0.0)
     assert frozen.p_zero == 1.0
     with pytest.raises(ValueError):
-        calibrate_stable_scale(frozen, n_calib=10_000, replicates=100)
+        frozen.stable_scale
+
+
+def test_stable_scale_matches_normalized_sums():
+    # n^(-1/alpha) S_n at n = 20000 against the closed-form limit
+    alpha, n, draws = 1.5, 20_000, 2000
+    law = IncrementLaw.power_tail(alpha)
+    sums = np.array([
+        sample_increments(law, stream_generator(SeedScheme(1500, StreamKind.WALK, r)),
+                          n).sum()
+        for r in range(draws)])
+    limit = law.stable_scale * stable_standard_sample(
+        law.alpha, draws, stream_generator(SeedScheme(1500, StreamKind.LEVY, 0)))
+    report = two_sample_distance(sums * float(n) ** (-1.0 / alpha), limit, seed=1500)
+    assert report.p_value > 0.01

@@ -2,7 +2,7 @@ import ast
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -27,6 +27,10 @@ FDD_SMALL = ("experiment: verify-fdd\nalpha: 2.0\nn: 16384\nreplicates: 40\n"
 HOLDER_SMALL = ("experiment: verify-holder\nalpha: 2.0\nreplicates: 6\nK: 1024\n"
                 "cells: 32\ngrid_points: 8\ngamma: 0.7\ngamma_prime: 0.45\n"
                 "master_seed: 13\n")
+SELFSIM_SMALL = ("experiment: verify-selfsim\nalpha: 2.0\nreplicates: 40\nK: 1024\n"
+                 "cells: 32\npermutations: 500\nmaster_seed: 9\n")
+MOMENTS_SMALL = ("experiment: verify-moments\nalpha: 2.0\nreplicates: 200\n"
+                 "n_list: 256, 512, 1024, 2048\nmaster_seed: 8\n")
 
 
 def _run(text: str, tmp_path, **overrides):
@@ -112,18 +116,49 @@ def test_verify_experiment_workers_identical(tmp_path, text):
 ], ids=["verify-fdd", "verify-holder"])
 def test_each_path_is_simulated_once(tmp_path, monkeypatch, text, kinds):
     calls = Counter()
-    for name in ("simulate_walk", "simulate_levy_path"):
+
+    def count(name, key):
         original = getattr(rwrs.diagnostics, name)
 
-        def counted(*args, _original=original):
-            seed = args[-1]
-            calls[(seed.stream_kind, seed.replicate_index)] += 1
-            return _original(*args)
+        def counted(*args):
+            calls[key(*args)] += 1
+            return original(*args)
 
         monkeypatch.setattr(rwrs.diagnostics, name, counted)
+
+    for name in ("simulate_walk", "simulate_levy_path"):
+        count(name, lambda *args: (args[-1].stream_kind, args[-1].replicate_index))
+    # each Levy path is binned into one local-time field
+    count("local_time_field",
+          lambda path, *_: ("local_time_field", path.seed.replicate_index))
     cfg, _ = _run(text, tmp_path)
-    assert calls == Counter({(kind, r): 1 for kind in kinds
-                             for r in range(cfg.replicates)})
+    expected = Counter({(kind, r): 1 for kind in kinds for r in range(cfg.replicates)})
+    expected.update(("local_time_field", r) for r in range(cfg.replicates))
+    assert calls == expected
+
+
+@pytest.mark.parametrize("text", [SELFSIM_SMALL, MOMENTS_SMALL],
+                         ids=["verify-selfsim", "verify-moments"])
+def test_manifest_lists_the_drawn_streams(tmp_path, monkeypatch, text):
+    drawn = defaultdict(set)
+    # wrapped name -> position of its seed argument
+    for name, pos in (("simulate_walk", -1), ("simulate_levy_path", -1),
+                      ("kiefer_increments", 3)):
+        original = getattr(rwrs.diagnostics, name)
+
+        def recorded(*args, _original=original, _pos=pos):
+            seed = args[_pos]
+            drawn[seed.stream_kind.value].add(f"{seed.philox_key():032x}")
+            return _original(*args)
+
+        monkeypatch.setattr(rwrs.diagnostics, name, recorded)
+    _, manifest = _run(text, tmp_path)
+    listed = defaultdict(set)
+    for entry in manifest.replicate_seeds:
+        for kind in StreamKind:
+            if kind.value in entry:
+                listed[kind.value].add(entry[kind.value])
+    assert listed == drawn
 
 
 def test_missing_output_dir_leaves_nothing(tmp_path):
