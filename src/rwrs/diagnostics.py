@@ -545,7 +545,7 @@ def bickel_wichura_modulus(sheet, delta: float) -> float:
 
     For each axis, over triples a <= mid <= b with coordinate gap at most
     ``delta``, takes min of the two sup-norm increments and returns the
-    larger of the two directional suprema.
+    larger of the two directional suprema (Bickel and Wichura 1971).
     """
     values, s_axis, t_axis = sheet_axes(sheet)
     for axis, name in ((s_axis, "s"), (t_axis, "t")):
@@ -553,21 +553,17 @@ def bickel_wichura_modulus(sheet, delta: float) -> float:
             raise ValueError(f"delta is below the {name}-grid resolution")
 
     def directional(profiles: np.ndarray, coords: np.ndarray) -> float:
-        # profiles: one row per coordinate, sup-norm taken across columns
-        dist = np.max(np.abs(profiles[:, None, :] - profiles[None, :, :]), axis=2)
+        # profiles: one row per coordinate, sup-norm taken across columns.
+        # Only rows within delta of mid can pair with it, so each mid needs
+        # the distances of its window alone, not an all-pairs matrix.
         best = 0.0
-        npts = coords.size
-        for mid in range(npts):
+        for mid in range(coords.size):
             lo = int(np.searchsorted(coords, coords[mid] - delta, side="left"))
             hi = int(np.searchsorted(coords, coords[mid] + delta, side="right"))
-            left = np.arange(lo, mid + 1)
-            right = np.arange(mid, hi)
-            if left.size == 0 or right.size == 0:
-                continue
-            pair_min = np.minimum(dist[left, mid][:, None], dist[mid, right][None, :])
-            ok = (coords[right][None, :] - coords[left][:, None]) <= delta + 1e-12
-            if np.any(ok):
-                best = max(best, float(np.max(pair_min[ok])))
+            dist = np.max(np.abs(profiles[lo:hi] - profiles[mid]), axis=1)
+            pair_min = np.minimum(dist[:mid - lo + 1, None], dist[None, mid - lo:])
+            ok = (coords[mid:hi][None, :] - coords[lo:mid + 1][:, None]) <= delta + 1e-12
+            best = max(best, float(np.max(pair_min[ok])))
         return best
 
     along_t = directional(values.T, t_axis)
@@ -579,8 +575,17 @@ def holder_norm_estimate(sheet, gamma: float, gamma_prime: float) -> float:
     """Empirical lower estimate of the anisotropic Hoelder constant.
 
     Maximizes |V(p) - V(q)| / (|ds|^gamma + |dt|^gamma') over all grid
-    point pairs. On uniform grids pairs are grouped by index offset, which
-    gives the same maximum at a fraction of the cost.
+    point pairs. On uniform grids pairs are grouped by index offset (a, b),
+    which gives the same maximum at a fraction of the cost.
+
+    Offsets are pruned without changing the result. Every numerator is at
+    most ``span = ptp(values)``, and the denominator
+    (a ds)^gamma + (b dt)^gamma' grows in both a and b. So once
+    span / den <= best the remaining b of that row cannot raise the
+    maximum, and once span / (a ds)^gamma <= best no larger a can either.
+    Rounding is monotone, so fl(|x - y|) <= fl(span) and each skipped
+    ratio is at most ``best`` in floating point too: the maximum is the
+    unpruned one, bit for bit.
     """
     if not (0.0 < gamma < 1.0 and 0.0 < gamma_prime < 1.0):
         raise ValueError("gamma and gamma_prime must lie in (0, 1)")
@@ -593,14 +598,19 @@ def holder_norm_estimate(sheet, gamma: float, gamma_prime: float) -> float:
     n_s, n_t = values.shape
     ds = (s_axis[-1] - s_axis[0]) / (n_s - 1) if n_s > 1 else 0.0
     dt = (t_axis[-1] - t_axis[0]) / (n_t - 1) if n_t > 1 else 0.0
+    span = float(np.ptp(values))
     best = 0.0
     for a in range(n_s):
+        if a > 0 and span / (a * ds) ** gamma <= best:
+            break
         lo = values[a:, :]
         hi = values[:n_s - a, :]
         for b in range(n_t):
             if a == 0 and b == 0:
                 continue
             den = (a * ds) ** gamma + (b * dt) ** gamma_prime
+            if span / den <= best:
+                break
             if b == 0:
                 num = float(np.max(np.abs(lo - hi)))
             else:

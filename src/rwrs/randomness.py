@@ -23,6 +23,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Largest magnitude sampled from the tabulated inverse CDF; beyond it the
 # tail is drawn from the analytic power-law approximation.
 TAIL_CUTOFF = 1_000_000
+# Analytic-tail draws are clipped here so that a single step fits in int64.
+MAX_TAIL_STEP = 2**62
 
 
 def _mix64(z: int) -> int:
@@ -217,6 +219,13 @@ class IncrementLaw:
         return (2.0 * self.tail_constant / a * math.gamma(1.0 - a)
                 * math.cos(math.pi * a / 2.0)) ** (1.0 / a)
 
+    @property
+    def max_step(self) -> int:
+        """Largest |step| that :func:`sample_increments` can draw."""
+        if self.kind is LawKind.LAZY_SIMPLE:
+            return 1
+        return MAX_TAIL_STEP
+
     def probability_total(self) -> float:
         """Sum of all probability weights (tabulated part + analytic tail)."""
         if self.kind is LawKind.LAZY_SIMPLE:
@@ -242,7 +251,7 @@ def _tail_magnitudes(law: IncrementLaw, u: np.ndarray) -> np.ndarray:
     # rounded to the nearest integer >= cutoff+1.
     a = law.alpha.value
     x = (TAIL_CUTOFF + 0.5) * (1.0 - u) ** (-1.0 / a)
-    x = np.minimum(x, 2.0**62)
+    x = np.minimum(x, float(MAX_TAIL_STEP))
     return np.floor(x + 0.5).astype(np.int64)
 
 

@@ -85,13 +85,36 @@ class EmpiricalSheet:
     scenery_seed: SeedScheme | None = None
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _positions(steps: np.ndarray, max_step: int | None = None) -> np.ndarray:
+    """Partial sums S_1..S_n of int64 steps; raises where int64 would wrap.
+
+    ``max_step`` bounds |step| when the caller knows it. Only when
+    ``max_step * n`` does not fit in int64 are the steps scanned for their
+    largest magnitude, and only when that bound fails too are the sums
+    checked: a sum that wraps moves against the sign of its step.
+    """
+    if max_step is None or max_step * steps.size > _INT64_MAX:
+        max_step = max(int(steps.max()), -int(steps.min()))
+    positions = np.cumsum(steps)
+    if max_step * steps.size > _INT64_MAX:
+        prev = positions - steps
+        wrapped = ((steps > 0) & (positions < prev)) | ((steps < 0) & (positions > prev))
+        if np.any(wrapped):
+            k = int(np.argmax(wrapped)) + 1
+            raise ValueError(f"walk position S_{k} exceeds the int64 range")
+    return positions
+
+
 def simulate_walk(n: int, law: IncrementLaw, seed: SeedScheme) -> WalkPath:
     """Walk of ``n`` cumulative steps drawn from ``law``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = stream_generator(seed)
     steps = sample_increments(law, rng, n)
-    return WalkPath(n=n, positions=np.cumsum(steps), law=law, seed=seed)
+    return WalkPath(n=n, positions=_positions(steps, law.max_step), law=law, seed=seed)
 
 
 def walk_from_steps(steps, law: IncrementLaw | None = None,
@@ -100,7 +123,7 @@ def walk_from_steps(steps, law: IncrementLaw | None = None,
     steps = np.asarray(steps, dtype=np.int64)
     if steps.size < 1:
         raise ValueError("at least one step required")
-    return WalkPath(n=int(steps.size), positions=np.cumsum(steps), law=law, seed=seed)
+    return WalkPath(n=int(steps.size), positions=_positions(steps), law=law, seed=seed)
 
 
 def occupation_map(path: WalkPath, m: int) -> OccupationMap:

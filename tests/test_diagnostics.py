@@ -2,15 +2,20 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from rwrs.diagnostics import (
     LimitConfig,
     SampleSet,
+    _holder_pairs,
     bickel_wichura_modulus,
     discrete_kernel,
     energy_statistic_pairwise,
     fit_loglog,
     holder_norm_estimate,
+    ks_statistic,
     limit_kernel,
     matched_limit_kernel,
     moment_scaling,
@@ -93,11 +98,25 @@ def test_energy_matches_pairwise_oracle():
 
 
 def test_ks_statistic_matches_report():
-    from rwrs.diagnostics import ks_statistic
-
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=90), rng.normal(0.2, 1.1, size=110)
     assert ks_statistic(a, b) == two_sample_distance(a, b, "ks", 500).statistic
+
+
+# Small integers make ties within and across the two samples common.
+_KS_SAMPLE = st.lists(
+    st.one_of(st.integers(-3, 3).map(float),
+              st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=40)
+
+
+# only the statistic is compared; scipy warns about its p-value on tiny samples
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:scipy")
+@settings(max_examples=300, deadline=None)
+@given(_KS_SAMPLE, _KS_SAMPLE)
+def test_ks_statistic_matches_scipy(a, b):
+    expected = ks_2samp(a, b).statistic
+    assert ks_statistic(a, b) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_ks_invariant_under_monotone_transform():
@@ -245,6 +264,111 @@ def test_holder_norm_trivials():
         holder_norm_estimate(zero, 0.0, 0.5)
     with pytest.raises(ValueError):
         holder_norm_estimate(zero, 0.5, 1.0)
+
+
+def _modulus_dense(sheet, delta):
+    # all-pairs distance matrix per axis: the modulus before it was banded
+    values, s_axis, t_axis = sheet.values, sheet.s_cuts, sheet.t_grid
+
+    def directional(profiles, coords):
+        dist = np.max(np.abs(profiles[:, None, :] - profiles[None, :, :]), axis=2)
+        best = 0.0
+        for mid in range(coords.size):
+            lo = int(np.searchsorted(coords, coords[mid] - delta, side="left"))
+            hi = int(np.searchsorted(coords, coords[mid] + delta, side="right"))
+            left = np.arange(lo, mid + 1)
+            right = np.arange(mid, hi)
+            pair_min = np.minimum(dist[left, mid][:, None], dist[mid, right][None, :])
+            ok = (coords[right][None, :] - coords[left][:, None]) <= delta + 1e-12
+            if np.any(ok):
+                best = max(best, float(np.max(pair_min[ok])))
+        return best
+
+    return max(directional(values.T, t_axis), directional(values, s_axis))
+
+
+def test_banded_modulus_equals_dense():
+    rng = np.random.default_rng(23)
+    uneven = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 10)), [1.0]))
+    sheets = [
+        _limit_sheet(rng.normal(size=(9, 17)), np.linspace(0, 1, 9), np.linspace(0, 1, 17)),
+        _limit_sheet(np.cumsum(np.cumsum(rng.normal(size=(33, 33)), 0), 1),
+                     np.linspace(0, 1, 33), np.linspace(0, 1, 33)),
+        _limit_sheet(rng.standard_cauchy(size=(12, 5)), uneven, np.linspace(0, 1, 5)),
+    ]
+    for sheet in sheets:
+        gap = max(np.max(np.diff(sheet.s_cuts)), np.max(np.diff(sheet.t_grid)))
+        for delta in [d for d in (gap, 0.25, 0.5, 1.0) if d >= gap]:
+            assert bickel_wichura_modulus(sheet, delta) == _modulus_dense(sheet, delta)
+
+
+def _holder_unpruned(values, ds, dt, gamma, gamma_prime):
+    # the offset loop without its early exits; pruning must not change a bit
+    n_s, n_t = values.shape
+    best = 0.0
+    for a in range(n_s):
+        lo = values[a:, :]
+        hi = values[:n_s - a, :]
+        for b in range(n_t):
+            if a == 0 and b == 0:
+                continue
+            den = (a * ds) ** gamma + (b * dt) ** gamma_prime
+            if b == 0:
+                num = float(np.max(np.abs(lo - hi)))
+            else:
+                num = float(np.max(np.abs(lo[:, b:] - hi[:, :n_t - b])))
+                if a > 0:
+                    num = max(num, float(np.max(np.abs(lo[:, :n_t - b]
+                                                       - hi[:, b:]))))
+            best = max(best, num / den)
+    return best
+
+
+def _holder_oracles(values, gamma, gamma_prime):
+    """(estimate, unpruned offset loop, all-pairs) on a unit-square grid."""
+    n_s, n_t = values.shape
+    s_axis = np.linspace(0.0, 1.0, n_s) if n_s > 1 else np.array([0.5])
+    t_axis = np.linspace(0.0, 1.0, n_t) if n_t > 1 else np.array([0.5])
+    ds = 1.0 / (n_s - 1) if n_s > 1 else 0.0
+    dt = 1.0 / (n_t - 1) if n_t > 1 else 0.0
+    sheet = _limit_sheet(values, s_axis, t_axis)
+    return (holder_norm_estimate(sheet, gamma, gamma_prime),
+            _holder_unpruned(values, ds, dt, gamma, gamma_prime),
+            _holder_pairs(values, s_axis, t_axis, gamma, gamma_prime))
+
+
+def _holder_test_sheets():
+    rng = np.random.default_rng(29)
+    spike = np.zeros((17, 17))
+    spike[-1, -1] = 1.0  # largest offset from values[0, 0]
+    return {
+        "normal": rng.normal(size=(17, 17)),
+        "normal-oblong": rng.normal(size=(33, 9)),
+        "spike": spike,
+        "cumulative": np.cumsum(np.cumsum(rng.normal(size=(33, 33)), 0), 1),
+        "constant": np.full((9, 9), 3.5),
+        "one-row": rng.normal(size=(1, 17)),
+        "one-column": np.cumsum(rng.normal(size=(17, 1)), 0),
+    }
+
+
+@pytest.mark.parametrize("gamma, gamma_prime", [(0.7, 0.45), (0.3, 0.9), (0.99, 0.01)])
+def test_holder_pruning_is_exact(gamma, gamma_prime):
+    for name, values in _holder_test_sheets().items():
+        pruned, unpruned, pairs = _holder_oracles(values, gamma, gamma_prime)
+        assert pruned == unpruned, name
+        # all-pairs rounds its denominators differently, by up to one ulp
+        assert pruned == pytest.approx(pairs, rel=1e-12, abs=0.0), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_holder_pruning_is_exact_on_random_sheets(n_s, n_t, seed, gamma, gamma_prime):
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_s, n_t))
+    pruned, unpruned, pairs = _holder_oracles(values, gamma, gamma_prime)
+    assert pruned == unpruned
+    assert pruned == pytest.approx(pairs, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.slow

@@ -42,6 +42,25 @@ def test_simulate_walk_rejects_zero_length():
         simulate_walk(0, LAW, _walk_seed())
 
 
+def test_walk_positions_raise_instead_of_wrapping(monkeypatch):
+    big = 2**62
+    with pytest.raises(ValueError, match="S_2 exceeds the int64 range"):
+        walk_from_steps([big, big])
+    # S_3 is back in range, but S_2 was not
+    with pytest.raises(ValueError, match="S_2 exceeds the int64 range"):
+        walk_from_steps([big, big, -big])
+    # sums that reach either end of the int64 range exactly are kept
+    assert walk_from_steps([big, big - 1]).positions.tolist() == [big, 2**63 - 1]
+    assert walk_from_steps([-big, -big]).positions.tolist() == [-big, -2**63]
+
+    law = IncrementLaw.power_tail(1.5)
+    assert law.max_step == big
+    monkeypatch.setattr(walk_mod, "sample_increments",
+                        lambda law, rng, size: np.full(size, big, dtype=np.int64))
+    with pytest.raises(ValueError, match="S_2 exceeds the int64 range"):
+        simulate_walk(3, law, _walk_seed())
+
+
 def test_walk_variance_rate():
     # Var(S_n)/n = Var(X) = 1/2 for the lazy walk; estimated from the pooled
     # step increments of 100 walks (a 100-point variance of S_n alone has a
