@@ -214,17 +214,12 @@ def fit_loglog(x, y) -> SlopeFit:
                     intercept=float(intercept), stderr=stderr)
 
 
-def law_for_alpha(alpha, law: IncrementLaw | None = None) -> IncrementLaw:
-    return law if law is not None else IncrementLaw.for_alpha(alpha)
-
-
-def limit_scale(alpha, law: IncrementLaw | None = None,
-                config: LimitConfig | None = None) -> float:
+def limit_scale(alpha, config: LimitConfig | None = None) -> float:
     """Stable scale matching the walk law (:attr:`IncrementLaw.stable_scale`).
 
     ``config`` does not affect the result; it is accepted for existing callers.
     """
-    return law_for_alpha(alpha, law).stable_scale
+    return IncrementLaw.for_alpha(alpha).stable_scale
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ def limit_scale(alpha, law: IncrementLaw | None = None,
 # draws one walk or one Levy path from the replicate's seeds and returns only
 # the small outputs asked of it, so one draw serves every output of a run.
 
-def discrete_kernel(index: int, alpha, n: int, master_seed: int, law=None, *,
+def discrete_kernel(index: int, alpha, n: int, master_seed: int, *,
                     grid: GridSpec | None = None, scaled: bool = True,
                     s_vec=None, functional: str | None = None) -> dict:
     """One discrete replicate: walk, then scenery, then the requested outputs.
@@ -241,7 +236,7 @@ def discrete_kernel(index: int, alpha, n: int, master_seed: int, law=None, *,
     ``scaled`` is False), ``quadratic`` the occupation cross products at
     ``s_vec`` and ``functional`` the named occupation functional.
     """
-    path = simulate_walk(n, law_for_alpha(alpha, law),
+    path = simulate_walk(n, IncrementLaw.for_alpha(alpha),
                          SeedScheme(master_seed, StreamKind.WALK, index))
     out = {}
     if grid is not None:
@@ -287,10 +282,9 @@ def limit_kernel(index: int, alpha, scale: float, config: LimitConfig,
     return out
 
 
-def matched_limit_kernel(alpha, config: LimitConfig, master_seed: int, law=None,
-                         **outputs):
+def matched_limit_kernel(alpha, config: LimitConfig, master_seed: int, **outputs):
     """:func:`limit_kernel` at the stable scale matching the walk law."""
-    return partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha, law, config),
+    return partial(limit_kernel, alpha=alpha, scale=limit_scale(alpha),
                    config=config, master_seed=master_seed, **outputs)
 
 
@@ -325,8 +319,7 @@ def _at_points(values: np.ndarray, s_axis, t_axis, points) -> np.ndarray:
 
 def verify_lemma1(alpha, s_vec, n: int, replicates: int,
                   limit_config: LimitConfig | None = None, *,
-                  master_seed: int = 0, law=None, method: str = "ks",
-                  permutations: int = 1000,
+                  master_seed: int = 0, permutations: int = 1000,
                   map_fn=map) -> dict[tuple[int, int], ComparisonReport]:
     """Compare occupation cross products against local-time cross products.
 
@@ -339,9 +332,9 @@ def verify_lemma1(alpha, s_vec, n: int, replicates: int,
     s_vec = tuple(float(s) for s in s_vec)
     config = limit_config or LimitConfig()
     discrete = samples(partial(discrete_kernel, alpha=alpha, n=n,
-                               master_seed=master_seed, law=law, s_vec=s_vec),
+                               master_seed=master_seed, s_vec=s_vec),
                        replicates, map_fn)["quadratic"]
-    limit = samples(matched_limit_kernel(alpha, config, master_seed, law, s_vec=s_vec),
+    limit = samples(matched_limit_kernel(alpha, config, master_seed, s_vec=s_vec),
                     replicates, map_fn)["quadratic"]
     reports = {}
     for i in range(len(s_vec)):
@@ -349,15 +342,15 @@ def verify_lemma1(alpha, s_vec, n: int, replicates: int,
             reports[(i, j)] = two_sample_distance(
                 SampleSet("occupation", discrete[:, i, j]),
                 SampleSet("local-time", limit[:, i, j]),
-                method=method, permutations=permutations,
+                permutations=permutations,
                 seed=(master_seed + 7919 * (i * len(s_vec) + j + 1)))
     return reports
 
 
 def verify_fdd(alpha, points, n: int, replicates: int,
                limit_config: LimitConfig | None = None, *,
-               master_seed: int = 0, law=None, method: str = "ks",
-               permutations: int = 1000, map_fn=map) -> FddResult:
+               master_seed: int = 0, permutations: int = 1000,
+               map_fn=map) -> FddResult:
     """Compare rescaled discrete marginals against limit-sheet marginals.
 
     Reports are keyed by ("point", (s, t)) for single points and
@@ -374,9 +367,9 @@ def verify_fdd(alpha, points, n: int, replicates: int,
     grid = GridSpec(np.unique(np.concatenate(([0.0, 1.0], s_cuts))), t_grid)
     terminal = (1.0,) if 1.0 in s_cuts else None
     sheets = samples(partial(discrete_kernel, alpha=alpha, n=n,
-                             master_seed=master_seed, law=law, grid=grid),
+                             master_seed=master_seed, grid=grid),
                      replicates, map_fn)["sheet"]
-    drawn = samples(matched_limit_kernel(alpha, config, master_seed, law,
+    drawn = samples(matched_limit_kernel(alpha, config, master_seed,
                                          grids=((s_cuts, t_grid),), s_vec=terminal),
                     replicates, map_fn)
     discrete = _at_points(sheets, grid.s, grid.t, points)
@@ -387,8 +380,7 @@ def verify_fdd(alpha, points, n: int, replicates: int,
         reports[("point", point)] = two_sample_distance(
             SampleSet("rescaled-empirical", discrete[:, k]),
             SampleSet("limit-sheet", limit[:, k]),
-            method=method, permutations=permutations,
-            seed=master_seed + 104729 * (k + 1))
+            permutations=permutations, seed=master_seed + 104729 * (k + 1))
     for k1 in range(len(points)):
         for k2 in range(k1 + 1, len(points)):
             for theta in THETA_COMBINATIONS:
@@ -398,7 +390,7 @@ def verify_fdd(alpha, points, n: int, replicates: int,
                     two_sample_distance(
                         SampleSet("rescaled-empirical", da),
                         SampleSet("limit-sheet", la),
-                        method=method, permutations=permutations,
+                        permutations=permutations,
                         seed=master_seed + 1299709 * (k1 + 2) + 15485863 * (k2 + 3)
                         + int(theta[1] > 0))
     return FddResult(reports=reports, discrete=discrete,
@@ -406,7 +398,7 @@ def verify_fdd(alpha, points, n: int, replicates: int,
 
 
 def moment_scaling(alpha, n_list, functional: str, replicates: int, *,
-                   master_seed: int = 0, law=None, map_fn=map) -> SlopeFit:
+                   master_seed: int = 0, map_fn=map) -> SlopeFit:
     """Log-log growth of an occupation functional against the walk length.
 
     Means over replicates are fitted for the sum functionals; for
@@ -424,7 +416,7 @@ def moment_scaling(alpha, n_list, functional: str, replicates: int, *,
     levels = []
     for n in n_list:
         kernel = partial(discrete_kernel, alpha=alpha, n=n,
-                         master_seed=_per_n_seed(master_seed, n), law=law,
+                         master_seed=_per_n_seed(master_seed, n),
                          functional=functional)
         stats = samples(kernel, replicates, map_fn)["functional"]
         levels.append(np.median(stats) if functional == "maxN_scaled"
@@ -514,8 +506,7 @@ def self_similarity_factor(alpha, a: float) -> float:
 def self_similarity_test(alpha, a: float, s0: float, t0: float,
                          replicates: int,
                          limit_config: LimitConfig | None = None, *,
-                         master_seed: int = 0, method: str = "ks",
-                         permutations: int = 1000,
+                         master_seed: int = 0, permutations: int = 1000,
                          map_fn=map) -> ComparisonReport:
     """Compare W(a s0, t0) with a^(1-1/(2 alpha)) W(s0, t0), independent sides.
 
@@ -537,7 +528,7 @@ def self_similarity_test(alpha, a: float, s0: float, t0: float,
         [sheet.values[1, j] for sheet in sheets[replicates:]])
     return two_sample_distance(
         SampleSet("shrunk-time", shrunk), SampleSet("rescaled", scaled),
-        method=method, permutations=permutations, seed=master_seed + 0x5E1F)
+        permutations=permutations, seed=master_seed + 0x5E1F)
 
 
 def bickel_wichura_modulus(sheet, delta: float) -> float:

@@ -19,6 +19,7 @@ from .randomness import (
     stable_standard_sample,
     stream_generator,
 )
+from .walk import _validated_axis, prefix_counts
 
 
 @dataclass(eq=False)
@@ -126,19 +127,15 @@ def default_cell_width(path: LevyPath, cells: int) -> float:
 def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     """Box-counting local time estimate at each s-cut.
 
-    L[s][x_j] counts the grid times u_k <= s (k >= 1) with the path in
+    L[s][x_j] counts the grid times u_k, 1 <= k <= cut, with the path in
     cell j, normalized by steps * dx so that sum_j L[s][x_j] dx equals
-    floor(s * steps) / steps exactly.
+    cut / steps exactly; s is cut by the rule of :func:`rwrs.walk.prefix_counts`.
     """
     if dx <= 0.0:
         raise ValueError("dx must be > 0")
     s_cuts = np.asarray(s_cuts, dtype=np.float64)
     if s_cuts.ndim != 1 or s_cuts.size == 0:
         raise ValueError("s_cuts must be a nonempty 1-d sequence")
-    if np.any(np.diff(s_cuts) < 0):
-        raise ValueError("s_cuts must be ascending")
-    if np.any((s_cuts < 0.0) | (s_cuts > 1.0)):
-        raise ValueError("s_cuts must lie in [0, 1]")
 
     steps = path.steps
     samples = path.values[1:]
@@ -147,20 +144,10 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
     x_left = x_lo + dx * np.arange(cells)
     bins = np.clip(((samples - x_lo) / dx).astype(np.int64), 0, cells - 1)
-
-    cuts = np.floor(s_cuts * steps + 1e-9).astype(np.int64)
-    counts = np.zeros(cells, dtype=np.int64)
-    values = np.empty((s_cuts.size, cells), dtype=np.float64)
-    prev = 0
-    norm = 1.0 / (steps * dx)
-    for i, cut in enumerate(cuts):
-        if cut > prev:
-            counts += np.bincount(bins[prev:cut], minlength=cells)
-            prev = cut
-        values[i] = counts * norm
+    _, counts = prefix_counts(bins, cells, s_cuts)
     return LocalTimeField(
-        x_left=x_left, dx=dx, s_cuts=s_cuts, values=values, steps=steps,
-        alpha=path.alpha, scale=path.scale, seed=path.seed)
+        x_left=x_left, dx=dx, s_cuts=s_cuts, values=counts * (1.0 / (steps * dx)),
+        steps=steps, alpha=path.alpha, scale=path.scale, seed=path.seed)
 
 
 def kiefer_increments(x_left, dx: float, t_grid, seed: SeedScheme,
@@ -172,13 +159,9 @@ def kiefer_increments(x_left, dx: float, t_grid, seed: SeedScheme,
     the driving path should leave the sheet distribution unchanged.
     """
     x_left = np.asarray(x_left, dtype=np.float64)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
     if dx <= 0.0:
         raise ValueError("dx must be > 0")
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly ascending with >= 2 points")
-    if t_grid[0] != 0.0 or t_grid[-1] != 1.0:
-        raise ValueError("t_grid must include the endpoints 0 and 1")
+    t_grid = _validated_axis(np.asarray(t_grid, dtype=np.float64), "t")
     if seed.stream_kind is not StreamKind.KIEFER:
         raise ValueError("kiefer increments require a seed with stream_kind=KIEFER")
 

@@ -85,9 +85,6 @@ class SeedScheme:
         if self.replicate_index < 0:
             raise ValueError("replicate_index must be >= 0")
 
-    def with_replicate(self, index: int) -> "SeedScheme":
-        return SeedScheme(self.master_seed, self.stream_kind, index)
-
     def philox_key(self, salt: int = 0) -> int:
         tag = _KIND_TAG[self.stream_kind]
         lo = _fold(self.master_seed, tag, self.replicate_index, salt, 0x1)

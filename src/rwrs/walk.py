@@ -71,9 +71,10 @@ def _validated_axis(axis: np.ndarray, name: str) -> np.ndarray:
 class EmpiricalSheet:
     """Sequential empirical process values on a grid.
 
-    ``values[i, j]`` is the centered indicator sum over the first
-    floor(n * s_i) scenery observations at level t_j, raw when
-    ``scaled`` is False and multiplied by n^(-1+1/(2 alpha)) afterwards.
+    ``values[i, j]`` is the centered indicator sum at level t_j over the
+    prefix of the n scenery observations that :func:`prefix_counts` cuts
+    at s_i, raw when ``scaled`` is False and multiplied by
+    n^(-1+1/(2 alpha)) afterwards.
     """
 
     values: np.ndarray
@@ -134,9 +135,31 @@ def occupation_map(path: WalkPath, m: int) -> OccupationMap:
     return OccupationMap(sites=sites, counts=counts, m=m)
 
 
-def _prefix_cuts(n: int, fractions: np.ndarray) -> np.ndarray:
-    # floor(n*s) with a tiny guard against binary representation of decimals
-    return np.floor(np.asarray(fractions, dtype=np.float64) * n + 1e-9).astype(np.int64)
+def prefix_counts(bins, size: int, fractions) -> tuple[np.ndarray, np.ndarray]:
+    """Running bin counts over the prefixes a sequence of fractions selects.
+
+    This is the package's one rule from a fraction s to a prefix length:
+    ``cuts[i] = floor(len(bins) * s_i + 1e-9)``, where the guard keeps a
+    decimal such as s = 0.57 from landing one short (0.57 * 100 evaluates
+    to 56.99999999999999). ``counts[i]`` is the int64 row
+    ``np.bincount(bins[:cuts[i]], minlength=size)``. Fractions must be
+    ascending and lie in [0, 1]; repeats are allowed.
+    """
+    fractions = np.asarray(fractions, dtype=np.float64)
+    if np.any(np.diff(fractions) < 0):
+        raise ValueError("fractions must be ascending")
+    if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
+        raise ValueError("fractions must lie in [0, 1]")
+    cuts = np.floor(fractions * len(bins) + 1e-9).astype(np.int64)
+    counts = np.empty((cuts.size, size), dtype=np.int64)
+    running = np.zeros(size, dtype=np.int64)
+    prev = 0
+    for i, cut in enumerate(cuts):
+        if cut > prev:
+            running += np.bincount(bins[prev:cut], minlength=size)
+            prev = cut
+        counts[i] = running
+    return cuts, counts
 
 
 def sheet_from_site_values(site_values: np.ndarray, n: int, grid: GridSpec) -> np.ndarray:
@@ -145,16 +168,8 @@ def sheet_from_site_values(site_values: np.ndarray, n: int, grid: GridSpec) -> n
     if y.size != n:
         raise ValueError("need one scenery observation per step")
     buckets = np.searchsorted(grid.t, y, side="left")
-    cuts = _prefix_cuts(n, grid.s)
-    hist = np.zeros(grid.t.size, dtype=np.int64)
-    values = np.empty((grid.s.size, grid.t.size), dtype=np.float64)
-    prev = 0
-    for i, cut in enumerate(cuts):
-        if cut > prev:
-            hist += np.bincount(buckets[prev:cut], minlength=grid.t.size)
-            prev = cut
-        values[i] = np.cumsum(hist) - cut * grid.t
-    return values
+    cuts, counts = prefix_counts(buckets, grid.t.size, grid.s)
+    return np.cumsum(counts, axis=1) - cuts[:, None] * grid.t
 
 
 def empirical_sheet(path: WalkPath, scenery_seed: SeedScheme, grid: GridSpec) -> EmpiricalSheet:
@@ -189,29 +204,16 @@ def rescale(sheet: EmpiricalSheet) -> EmpiricalSheet:
 
 
 def occupation_quadratic(path: WalkPath, s_vec, alpha) -> np.ndarray:
-    """Scaled occupation cross products over prefixes floor(n*s_i).
+    """Scaled occupation cross products over the prefixes of ``s_vec``.
 
-    Q[i, j] = n^(-2+1/alpha) * sum_x N_{floor(n s_i)}(x) N_{floor(n s_j)}(x).
+    Q[i, j] = n^(-2+1/alpha) * sum_x N_{m_i}(x) N_{m_j}(x), with the prefix
+    lengths m_i cut from ``s_vec`` by :func:`prefix_counts`.
     """
-    s_vec = np.asarray(s_vec, dtype=np.float64)
-    if np.any(np.diff(s_vec) < 0):
-        raise ValueError("s_vec must be sorted ascending")
-    if np.any((s_vec < 0) | (s_vec > 1)):
-        raise ValueError("s_vec entries must lie in [0, 1]")
-    a = Alpha.of(alpha)
-    n = path.n
     uniq, inverse = np.unique(path.positions, return_inverse=True)
-    cuts = _prefix_cuts(n, s_vec)
-    counts = np.zeros(uniq.size, dtype=np.int64)
-    snapshots = np.empty((s_vec.size, uniq.size), dtype=np.float64)
-    prev = 0
-    for i, cut in enumerate(cuts):
-        if cut > prev:
-            counts += np.bincount(inverse[prev:cut], minlength=uniq.size)
-            prev = cut
-        snapshots[i] = counts
+    _, counts = prefix_counts(inverse, uniq.size, s_vec)
+    snapshots = counts.astype(np.float64)
     raw = snapshots @ snapshots.T
-    return raw * float(n) ** (-2.0 + 1.0 / a.value)
+    return raw * float(path.n) ** (-2.0 + 1.0 / Alpha.of(alpha).value)
 
 
 OCCUPATION_FUNCTIONALS = ("sumN2", "sumN3", "sumN4", "sumN2_sq", "maxN_scaled")

@@ -184,9 +184,8 @@ def test_criterion_4_fdd_marginals():
                      0.0, 1.0)
     assert abs(mean_r - oracle) <= 0.10 * oracle
 
-    law15 = IncrementLaw.power_tail(1.5)
     reports15 = verify_fdd(1.5, [point], 1 << 16, 1500, FULL_RES,
-                           master_seed=4200, law=law15, permutations=1000).reports
+                           master_seed=4200, permutations=1000).reports
     p15 = reports15[("point", point)].p_value
     assert p15 > 0.01
     _report(4, f"alpha=2 p={p2:.3f}, var rel={rel:.3f} "

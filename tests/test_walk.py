@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwrs.walk as walk_mod
+from rwrs.limit import local_time_field, simulate_levy_path
 from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind, derive_site_value
 from rwrs.walk import (
     GridSpec,
@@ -9,6 +12,7 @@ from rwrs.walk import (
     occupation_map,
     occupation_quadratic,
     occupation_statistic,
+    prefix_counts,
     rescale,
     rescale_factor,
     sheet_from_site_values,
@@ -211,6 +215,55 @@ def test_occupation_quadratic_validates_svec():
         occupation_quadratic(p, [0.5, 0.2], 2.0)
     with pytest.raises(ValueError):
         occupation_quadratic(p, [0.5, 1.5], 2.0)
+
+
+_FRACTIONS = st.lists(st.one_of(st.sampled_from([0.0, 0.57, 1.0]), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bins=st.lists(st.integers(0, 5), max_size=120), fractions=_FRACTIONS)
+def test_prefix_counts_rows_are_prefix_bincounts(bins, fractions):
+    bins = np.asarray(bins, dtype=np.int64)
+    fractions = sorted(fractions)
+    cuts, counts = prefix_counts(bins, 6, fractions)
+    assert counts.dtype == np.int64 and counts.shape == (len(fractions), 6)
+    assert np.array_equal(cuts, np.floor(np.asarray(fractions) * bins.size + 1e-9))
+    for cut, row in zip(cuts, counts):
+        assert np.array_equal(row, np.bincount(bins[:cut], minlength=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6))
+def test_prefix_counts_rejects_unsorted_or_out_of_range(fractions):
+    bins = np.arange(10) % 3
+    bad = (any(b < a for a, b in zip(fractions, fractions[1:]))
+           or not all(0.0 <= s <= 1.0 for s in fractions))
+    if bad:
+        with pytest.raises(ValueError):
+            prefix_counts(bins, 3, fractions)
+    else:
+        prefix_counts(bins, 3, fractions)
+    with pytest.raises(ValueError):
+        prefix_counts(bins, 3, [np.nan])
+
+
+def test_cut_guard_applies_on_both_sides():
+    # 0.57 * 100 evaluates to 56.99999999999999: without the guard the
+    # prefix of s = 0.57 would hold 56 steps instead of 57
+    s, n = 0.57, 100
+    assert s * n < 57
+    # every site of a unit-drift walk is visited once, so sum_x N^2 = cut
+    q = occupation_quadratic(walk_from_steps(np.ones(n, dtype=np.int64)), [s], 2.0)
+    assert q[0, 0] * n**1.5 == pytest.approx(57, abs=1e-9)
+    # every observation lies below t = 0.5, so the raw count there is cut
+    grid = GridSpec(np.array([0.0, s, 1.0]), np.array([0.0, 0.5, 1.0]))
+    raw = sheet_from_site_values(np.full(n, 0.25), n, grid)
+    assert raw[1, 1] == 57 - 57 * 0.5  # count minus cut * t
+    # the local time at s carries mass cut / K
+    path = simulate_levy_path(2.0, 1.0, n, SeedScheme(3, StreamKind.LEVY, 0))
+    lt = local_time_field(path, 0.1, [s, 1.0])
+    assert lt.values[0].sum() * lt.dx == pytest.approx(57 / n, abs=1e-12)
 
 
 def test_occupation_statistics_match_counts():
