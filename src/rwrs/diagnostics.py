@@ -1,6 +1,6 @@
 """Distributional comparisons, scaling-exponent fits, and regularity estimates.
 
-Two-sample comparisons use the Kolmogorov-Smirnov or energy statistic with
+Two-sample comparisons use the Kolmogorov-Smirnov statistic with
 permutation p-values; exponent claims are checked as log-log regression
 slopes. Each side is sampled by one replicate kernel, deterministic per
 replicate index, so :func:`samples` accepts a ``map_fn`` (e.g. a process
@@ -112,24 +112,19 @@ def _as_sample(x, label: str) -> SampleSet:
     return SampleSet(label=label, values=np.asarray(x, dtype=np.float64))
 
 
-def two_sample_distance(a, b, method: str = "ks", permutations: int = 1000,
+def two_sample_distance(a, b, permutations: int = 1000,
                         seed: int = 0) -> ComparisonReport:
-    """Two-sample KS or energy statistic with a permutation p-value.
+    """Two-sample KS statistic with a permutation p-value.
 
-    KS is the sup-difference of the two empirical CDFs. The energy statistic
-    is computed through its one-dimensional identity
-    ``2 * integral (F_a - F_b)^2 dx``, which equals the usual
-    ``2 E|X-Y| - E|X-X'| - E|Y-Y'|`` form. The p-value permutes the pooled
-    sample labels.
+    KS is the sup-difference of the two empirical CDFs. The p-value
+    permutes the pooled sample labels.
     """
     a = _as_sample(a, "a")
     b = _as_sample(b, "b")
-    if method not in ("ks", "energy"):
-        raise ValueError("method must be 'ks' or 'energy'")
     if permutations < 500:
         raise ValueError("permutations must be >= 500")
 
-    labels_sorted, stats_for = _label_statistic(a.values, b.values, method)
+    labels_sorted, stats_for = _label_statistic(a.values, b.values)
     observed = float(stats_for(labels_sorted[None, :])[0])
     rng = stream_generator(SeedScheme(seed & 0xFFFFFFFFFFFFFFFF, StreamKind.KIEFER, 0),
                            salt=0x7E57)
@@ -143,13 +138,13 @@ def two_sample_distance(a, b, method: str = "ks", permutations: int = 1000,
         done += m
     p_value = (1.0 + count) / (permutations + 1.0)
     return ComparisonReport(
-        statistic_name=method, statistic=observed, p_value=p_value,
+        statistic_name="ks", statistic=observed, p_value=p_value,
         sample_sizes=(a.values.size, b.values.size), permutations=permutations,
         labels=(a.label, b.label))
 
 
-def _label_statistic(a: np.ndarray, b: np.ndarray, method: str):
-    """Sorted pool labels (1 for ``a``) and the statistic of 0/1 label rows.
+def _label_statistic(a: np.ndarray, b: np.ndarray):
+    """Sorted pool labels (1 for ``a``) and the KS statistic of 0/1 label rows.
 
     The returned function maps an (m, na + nb) array of label rows, each a
     relabelling of the sorted pool, to the m statistics.
@@ -162,18 +157,14 @@ def _label_statistic(a: np.ndarray, b: np.ndarray, method: str):
     v = pooled[order]
     # |F_a - F_b| may only be evaluated where the pooled value changes
     boundary = np.append(np.diff(v) > 0, True)
-    gaps = np.diff(v)
     ranks = np.arange(1, na + nb + 1, dtype=np.int64)
 
     def stats_for(rows: np.ndarray) -> np.ndarray:
         # rows holds 0/1 membership of sample a; integer arithmetic keeps the
         # KS statistic exact (0 for identical samples, 1 for disjoint ones)
         c = np.cumsum(rows, axis=1)
-        if method == "ks":
-            numer = np.abs(c * (na + nb) - ranks * na)
-            return np.max(numer * boundary, axis=1) / float(na * nb)
-        w = c * (1.0 / na + 1.0 / nb) - ranks * (1.0 / nb)
-        return 2.0 * np.sum(w[:, :-1] ** 2 * gaps, axis=1)
+        numer = np.abs(c * (na + nb) - ranks * na)
+        return np.max(numer * boundary, axis=1) / float(na * nb)
 
     return labels[order], stats_for
 
@@ -181,18 +172,8 @@ def _label_statistic(a: np.ndarray, b: np.ndarray, method: str):
 def ks_statistic(a, b) -> float:
     """Two-sample KS statistic alone (no permutation p-value)."""
     labels_sorted, stats_for = _label_statistic(
-        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), "ks")
+        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     return float(stats_for(labels_sorted[None, :])[0])
-
-
-def energy_statistic_pairwise(a, b) -> float:
-    """Naive O(n*m) energy statistic; independent cross-check of the fast path."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    cross = np.mean(np.abs(a[:, None] - b[None, :]))
-    within_a = np.mean(np.abs(a[:, None] - a[None, :]))
-    within_b = np.mean(np.abs(b[:, None] - b[None, :]))
-    return 2.0 * cross - within_a - within_b
 
 
 def fit_loglog(x, y) -> SlopeFit:

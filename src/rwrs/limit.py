@@ -97,12 +97,17 @@ def simulate_levy_path(alpha, scale: float, steps: int, seed: SeedScheme) -> Lev
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = stream_generator(seed)
+    values = np.empty(steps + 1, dtype=np.float64)
+    values[0] = 0.0
+    increments = values[1:]
     if a.value == 2.0:
-        increments = rng.standard_normal(steps) * (scale * steps**-0.5)
+        rng.standard_normal(out=increments)
+        increments *= scale * steps**-0.5
+        np.cumsum(increments, out=increments)
     else:
-        increments = stable_standard_sample(a, steps, rng) * (
-            scale * float(steps) ** (-1.0 / a.value))
-    values = np.concatenate(([0.0], np.cumsum(increments)))
+        draws = stable_standard_sample(a, steps, rng)
+        draws *= scale * float(steps) ** (-1.0 / a.value)
+        np.cumsum(draws, out=increments)
     return LevyPath(alpha=a, scale=float(scale), values=values, seed=seed)
 
 
@@ -143,7 +148,10 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     x_hi = float(path.values.max()) + dx
     cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
     x_left = x_lo + dx * np.arange(cells)
-    bins = np.clip(((samples - x_lo) / dx).astype(np.int64), 0, cells - 1)
+    offsets = samples - x_lo
+    offsets /= dx
+    bins = offsets.astype(np.int64)
+    np.clip(bins, 0, cells - 1, out=bins)
     _, counts = prefix_counts(bins, cells, s_cuts)
     return LocalTimeField(
         x_left=x_left, dx=dx, s_cuts=s_cuts, values=counts * (1.0 / (steps * dx)),

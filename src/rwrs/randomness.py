@@ -256,9 +256,10 @@ def sample_increments(law: IncrementLaw, rng: Generator, size: int) -> np.ndarra
     """Draw ``size`` walk steps from ``law`` as an int64 array."""
     u = rng.random(size)
     if law.kind is LawKind.LAZY_SIMPLE:
-        out = np.zeros(size, dtype=np.int64)
-        out[(u >= 0.5) & (u < 0.75)] = -1
-        out[u >= 0.75] = 1
+        # 2*[u >= 3/4] - [u >= 1/2]: 0 below 1/2, -1 up to 3/4, +1 above
+        out = (u >= 0.75).astype(np.int64)
+        out *= 2
+        out -= u >= 0.5
         return out
 
     p0 = law.p_zero

@@ -143,7 +143,12 @@ class _SummaryLine:
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Run the configured experiment and write manifest, CSVs and summary."""
+    """Run the configured experiment and write manifest, CSVs and summary.
+
+    Every file is written atomically (see :func:`_write_atomic`). If the
+    run fails, the outputs it wrote are removed and the manifest is
+    rewritten with status ``failed``.
+    """
     out_dir = config.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
     out_path = Path(out_dir)
     if not out_path.is_dir():
@@ -177,11 +182,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
         for name, text in files.items():
             path = out_path / name
-            path.write_text(text)
+            _write_atomic(path, text)
             written.append(path)
         summary_text = "\n".join(line.render() for line in summary) + "\n"
         summary_path = out_path / "summary.txt"
-        summary_path.write_text(summary_text)
+        _write_atomic(summary_path, summary_text)
         written.append(summary_path)
 
         manifest.finished_at = _now()
@@ -203,8 +208,23 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             executor.shutdown()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it.
+
+    A reader sees either the previous file or the whole new one; a failed
+    write removes its temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    path.write_text(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _report_meta(config: ExperimentConfig) -> dict:

@@ -127,12 +127,38 @@ def walk_from_steps(steps, law: IncrementLaw | None = None,
     return WalkPath(n=int(steps.size), positions=_positions(steps), law=law, seed=seed)
 
 
+def site_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending sites and each position's index into them: ``sites[index] == positions``.
+
+    When the range ``hi - lo`` of the positions is below their number,
+    ``sites`` is the whole range ``lo..hi`` (unvisited sites included) and
+    ``index = positions - lo``, at linear cost. Otherwise, as for a
+    heavy-tailed walk with a long jump, ``sites`` holds the distinct
+    positions only, from ``np.unique``. Either way ``sites`` has at most
+    ``len(positions)`` entries, so per-site work is never more than
+    per-step work.
+    """
+    lo, hi = int(positions.min()), int(positions.max())
+    if hi - lo < positions.size:
+        return np.arange(lo, hi + 1, dtype=np.int64), positions - lo
+    return np.unique(positions, return_inverse=True)
+
+
 def occupation_map(path: WalkPath, m: int) -> OccupationMap:
-    """Exact visit counts of S_1..S_m (the start S_0 = 0 is not counted)."""
+    """Exact visit counts of S_1..S_m (the start S_0 = 0 is not counted).
+
+    Visits are counted once per site by a ``bincount`` over
+    :func:`site_index` of the prefix: over the range lo..hi of S_1..S_m
+    when it holds fewer than m sites, over the distinct positions
+    otherwise. Sites with no visit are dropped, so ``sites`` holds the
+    distinct visited sites in ascending order.
+    """
     if not 1 <= m <= path.n:
         raise ValueError("prefix length m must satisfy 1 <= m <= path.n")
-    sites, counts = np.unique(path.positions[:m], return_counts=True)
-    return OccupationMap(sites=sites, counts=counts, m=m)
+    sites, index = site_index(path.positions[:m])
+    counts = np.bincount(index, minlength=sites.size)
+    visited = np.flatnonzero(counts)
+    return OccupationMap(sites=sites[visited], counts=counts[visited], m=m)
 
 
 def prefix_counts(bins, size: int, fractions) -> tuple[np.ndarray, np.ndarray]:
@@ -162,22 +188,35 @@ def prefix_counts(bins, size: int, fractions) -> tuple[np.ndarray, np.ndarray]:
     return cuts, counts
 
 
+def _sheet_from_buckets(buckets: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # buckets[k] is the first t-level index j with Y_k <= t_j
+    cuts, counts = prefix_counts(buckets, grid.t.size, grid.s)
+    return np.cumsum(counts, axis=1) - cuts[:, None] * grid.t
+
+
 def sheet_from_site_values(site_values: np.ndarray, n: int, grid: GridSpec) -> np.ndarray:
     """Raw sheet values from the sequence of scenery observations Y_1..Y_n."""
     y = np.asarray(site_values, dtype=np.float64)
     if y.size != n:
         raise ValueError("need one scenery observation per step")
-    buckets = np.searchsorted(grid.t, y, side="left")
-    cuts, counts = prefix_counts(buckets, grid.t.size, grid.s)
-    return np.cumsum(counts, axis=1) - cuts[:, None] * grid.t
+    return _sheet_from_buckets(np.searchsorted(grid.t, y, side="left"), grid)
 
 
 def empirical_sheet(path: WalkPath, scenery_seed: SeedScheme, grid: GridSpec) -> EmpiricalSheet:
-    """Evaluate the raw sequential empirical process of the walk's scenery."""
-    y = derive_site_value(scenery_seed, path.positions)
+    """Evaluate the raw sequential empirical process of the walk's scenery.
+
+    Y_k = xi(S_k) depends on the site only, so each site of
+    :func:`site_index` is hashed and bucketed on the t-grid once, and the
+    steps gather their bucket from it. The sites are the range lo..hi of
+    the walk when it holds fewer than n sites, the distinct positions
+    otherwise. The values equal :func:`sheet_from_site_values` of the
+    per-step observations.
+    """
+    sites, index = site_index(path.positions)
+    buckets = np.searchsorted(grid.t, derive_site_value(scenery_seed, sites), side="left")
     alpha = path.law.alpha if path.law is not None else Alpha(2.0)
     return EmpiricalSheet(
-        values=sheet_from_site_values(y, path.n, grid),
+        values=_sheet_from_buckets(buckets[index], grid),
         grid=grid,
         n=path.n,
         alpha=alpha,
@@ -207,10 +246,15 @@ def occupation_quadratic(path: WalkPath, s_vec, alpha) -> np.ndarray:
     """Scaled occupation cross products over the prefixes of ``s_vec``.
 
     Q[i, j] = n^(-2+1/alpha) * sum_x N_{m_i}(x) N_{m_j}(x), with the prefix
-    lengths m_i cut from ``s_vec`` by :func:`prefix_counts`.
+    lengths m_i cut from ``s_vec`` by :func:`prefix_counts`. Visits are
+    counted once per site of :func:`site_index`: the range lo..hi of the
+    walk when it holds fewer than n sites, the distinct positions
+    otherwise; a site with no visit adds nothing. The cross products are
+    integers, exact in float64 while they stay below 2^53, that is for n
+    up to 2^26.
     """
-    uniq, inverse = np.unique(path.positions, return_inverse=True)
-    _, counts = prefix_counts(inverse, uniq.size, s_vec)
+    sites, index = site_index(path.positions)
+    _, counts = prefix_counts(index, sites.size, s_vec)
     snapshots = counts.astype(np.float64)
     raw = snapshots @ snapshots.T
     return raw * float(path.n) ** (-2.0 + 1.0 / Alpha.of(alpha).value)

@@ -1,10 +1,17 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwrs.config import (
+    EXPERIMENTS,
     ConfigError,
+    ExperimentConfig,
     config_hash,
     parse_config,
     serialize_config,
+    validate_config,
 )
 
 
@@ -69,6 +76,53 @@ def test_round_trip():
     again = parse_config(serialize_config(cfg))
     assert cfg == again
     assert serialize_config(cfg) == serialize_config(again)
+
+
+_ANY_FLOAT = st.floats(allow_nan=False)
+_FLOAT_LIST = st.lists(_ANY_FLOAT, max_size=5).map(tuple)
+_GRID = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 unique=True, max_size=6).map(lambda xs: (0.0, *sorted(xs), 1.0))
+_POSITIVE = st.integers(1, 2**40)
+
+# every config that validates; the unvalidated numeric keys take any value
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    experiment=st.sampled_from(EXPERIMENTS),
+    alpha=st.floats(1.0, 2.0, exclude_min=True),
+    n=_POSITIVE,
+    n_list=st.none() | st.lists(_POSITIVE, max_size=5).map(tuple),
+    replicates=_POSITIVE,
+    s_grid=_GRID,
+    t_grid=_GRID,
+    K=_POSITIVE,
+    cells=_POSITIVE,
+    master_seed=st.integers(0, 2**64 - 1),
+    workers=st.integers(1, 64),
+    output_dir=st.none() | st.text(string.ascii_letters + string.digits + "/_.-: ",
+                                   max_size=20).filter(lambda d: d == d.strip()),
+    s_vec=_FLOAT_LIST,
+    points=st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=4).map(tuple),
+    a=_ANY_FLOAT,
+    s0=_ANY_FLOAT,
+    t0=_ANY_FLOAT,
+    deltas=_FLOAT_LIST,
+    gamma=_ANY_FLOAT,
+    gamma_prime=_ANY_FLOAT,
+    grid_points=st.integers(-2**40, 2**40),
+    permutations=st.integers(500, 2**40),
+    p_value_min=st.floats(0.0, 1.0),
+    var_tol=_ANY_FLOAT,
+    holder_ratio_max=_ANY_FLOAT,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_round_trip_property(cfg):
+    validate_config(cfg)
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_overrides_win():

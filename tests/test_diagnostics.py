@@ -12,7 +12,6 @@ from rwrs.diagnostics import (
     _holder_pairs,
     bickel_wichura_modulus,
     discrete_kernel,
-    energy_statistic_pairwise,
     fit_loglog,
     holder_norm_estimate,
     ks_statistic,
@@ -70,37 +69,26 @@ def test_sample_set_validation():
 
 def test_ks_identical_and_disjoint():
     a = np.random.default_rng(0).normal(size=200)
-    assert two_sample_distance(a, a, "ks", 500).statistic == 0.0
-    assert two_sample_distance(a, a, "ks", 500).p_value == 1.0
+    assert two_sample_distance(a, a, 500).statistic == 0.0
+    assert two_sample_distance(a, a, 500).p_value == 1.0
     neg = -1.0 - np.abs(np.random.default_rng(1).normal(size=80))
     pos = 2.0 + np.abs(np.random.default_rng(2).normal(size=90))
-    r = two_sample_distance(neg, pos, "ks", 500)
+    r = two_sample_distance(neg, pos, 500)
     assert r.statistic == 1.0 and r.p_value <= 0.01
 
 
-def test_ks_bounds_and_energy_sign():
+def test_ks_bounds():
     rng = np.random.default_rng(5)
     for _ in range(5):
         a, b = rng.normal(size=60), rng.normal(0.4, 1.3, size=45)
-        ks = two_sample_distance(a, b, "ks", 500).statistic
-        en = two_sample_distance(a, b, "energy", 500).statistic
+        ks = two_sample_distance(a, b, 500).statistic
         assert 0.0 <= ks <= 1.0
-        assert en >= 0.0
-
-
-def test_energy_matches_pairwise_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(4):
-        a, b = rng.normal(size=37), rng.normal(0.5, 2.0, size=53)
-        fast = two_sample_distance(a, b, "energy", 500).statistic
-        naive = energy_statistic_pairwise(a, b)
-        assert fast == pytest.approx(naive, rel=1e-10)
 
 
 def test_ks_statistic_matches_report():
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=90), rng.normal(0.2, 1.1, size=110)
-    assert ks_statistic(a, b) == two_sample_distance(a, b, "ks", 500).statistic
+    assert ks_statistic(a, b) == two_sample_distance(a, b, 500).statistic
 
 
 # Small integers make ties within and across the two samples common.
@@ -122,17 +110,15 @@ def test_ks_statistic_matches_scipy(a, b):
 def test_ks_invariant_under_monotone_transform():
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=120), rng.normal(0.3, 1.0, size=140)
-    base = two_sample_distance(a, b, "ks", 500).statistic
-    warped = two_sample_distance(np.exp(a), np.exp(b), "ks", 500).statistic
+    base = two_sample_distance(a, b, 500).statistic
+    warped = two_sample_distance(np.exp(a), np.exp(b), 500).statistic
     assert base == warped
 
 
 def test_two_sample_validation():
     a = np.ones(10)
     with pytest.raises(ValueError):
-        two_sample_distance(a, a, "ks", permutations=100)
-    with pytest.raises(ValueError):
-        two_sample_distance(a, a, "nope", 500)
+        two_sample_distance(a, a, permutations=100)
 
 
 def test_null_pvalue_calibration():
@@ -142,7 +128,7 @@ def test_null_pvalue_calibration():
     for meta in range(100):
         a = rng.normal(size=2000)
         b = rng.normal(size=2000)
-        r = two_sample_distance(a, b, "ks", permutations=500, seed=meta)
+        r = two_sample_distance(a, b, permutations=500, seed=meta)
         hits += r.p_value > 0.01
     assert hits >= 98
 
@@ -473,7 +459,7 @@ def test_degenerate_cut_gives_zero_distance():
     l = _limit_samples(2.0, 40, SMALL_LIMIT, 23, s_vec=(0.0, 1.0))["quadratic"]
     assert np.all(d[:, 0, 0] == 0.0) and np.all(l[:, 0, 0] == 0.0)
     assert np.all(d[:, 0, 1] == 0.0) and np.all(l[:, 0, 1] == 0.0)
-    rep = two_sample_distance(d[:, 0, 1], l[:, 0, 1], "ks", 500)
+    rep = two_sample_distance(d[:, 0, 1], l[:, 0, 1], 500)
     assert rep.statistic == 0.0 and rep.p_value == 1.0
 
 

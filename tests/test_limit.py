@@ -33,6 +33,22 @@ def test_levy_path_basics():
         simulate_levy_path(2.0, 1.0, 0, _levy_seed())
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_levy_path_matches_unbuffered_formula(alpha):
+    # the path is built in one preallocated array; its bits must equal the
+    # plain concatenate-of-cumsum construction on the same stream
+    steps, scale = 4096, 1.3
+    rng = stream_generator(_levy_seed(4))
+    if alpha == 2.0:
+        draws, c = rng.standard_normal(steps), scale * steps**-0.5
+    else:
+        draws = stable_standard_sample(Alpha(alpha), steps, rng)
+        c = scale * float(steps) ** (-1.0 / alpha)
+    expected = np.concatenate(([0.0], np.cumsum(draws * c)))
+    values = simulate_levy_path(alpha, scale, steps, _levy_seed(4)).values
+    assert values.dtype == expected.dtype and values.tobytes() == expected.tobytes()
+
+
 def test_levy_terminal_variance():
     ends = np.array([simulate_levy_path(2.0, 1.0, 1000, _levy_seed(r)).values[-1]
                      for r in range(10_000)])
@@ -208,7 +224,7 @@ def test_two_sided_mirror_symmetry():
 
     plain = np.array([marginal(r, False) for r in range(400)])
     mirrored = np.array([marginal(r + 400, True) for r in range(400)])
-    report = two_sample_distance(plain, mirrored, method="ks", permutations=600)
+    report = two_sample_distance(plain, mirrored, permutations=600)
     assert report.p_value > 0.005
 
 

@@ -84,6 +84,24 @@ def test_lazy_law_frequencies():
     assert np.all(np.isin(x, [-1, 0, 1]))
 
 
+class _FixedUniforms:
+    """Generator stub whose ``random`` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def test_lazy_law_boundaries():
+    u = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.75, 0.0), 0.75, 1.0 - 2.0**-53]
+    x = sample_increments(IncrementLaw.lazy_simple(), _FixedUniforms(u), len(u))
+    assert x.dtype == np.int64
+    assert x.tolist() == [0, 0, -1, -1, 1, 1]
+
+
 def test_lazy_law_requires_alpha_two():
     with pytest.raises(ValueError):
         IncrementLaw(Alpha(1.5), LawKind.LAZY_SIMPLE)

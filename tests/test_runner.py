@@ -3,6 +3,7 @@ import csv
 import io
 import json
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,9 +88,7 @@ def test_limit_experiment_workers_identical(tmp_path):
         assert (out["w1"] / f).read_bytes() == (out["w8"] / f).read_bytes()
 
 
-@pytest.mark.parametrize("text", [FDD_SMALL, HOLDER_SMALL],
-                         ids=["verify-fdd", "verify-holder"])
-def test_verify_experiment_workers_identical(tmp_path, text):
+def _assert_workers_identical(tmp_path, text):
     out = {}
     for name, workers in (("w1", 1), ("pool", 2)):
         d = tmp_path / name
@@ -108,6 +107,31 @@ def test_verify_experiment_workers_identical(tmp_path, text):
             assert a == b
         else:
             assert (out["w1"] / f).read_bytes() == (out["pool"] / f).read_bytes()
+
+
+@pytest.mark.parametrize("text", [FDD_SMALL, HOLDER_SMALL],
+                         ids=["verify-fdd", "verify-holder"])
+def test_verify_experiment_workers_identical(tmp_path, text):
+    _assert_workers_identical(tmp_path, text)
+
+
+# heavy-tailed walks, whose long jumps exercise both branches of the site index
+_STABLE_SMALL = {
+    "simulate-rwrs": ("experiment: simulate-rwrs\nalpha: 1.5\nn: 4096\nreplicates: 4\n"
+                      "s_grid: 0, 0.25, 0.57, 1\nt_grid: 0, 0.3, 0.5, 1\n"
+                      "master_seed: 3\n"),
+    "verify-lemma1": ("experiment: verify-lemma1\nalpha: 1.5\nn: 4096\nreplicates: 500\n"
+                      "K: 1024\ncells: 32\ns_vec: 0.3, 0.57, 1\npermutations: 500\n"
+                      "master_seed: 3\n"),
+    "modulus-sweep": ("experiment: modulus-sweep\nalpha: 1.5\nn: 512\nreplicates: 6\n"
+                      "s_grid: 0, 0.25, 0.5, 0.75, 1\nt_grid: 0, 0.25, 0.5, 0.75, 1\n"
+                      "deltas: 0.25, 0.5\nmaster_seed: 3\n"),
+}
+
+
+@pytest.mark.parametrize("text", list(_STABLE_SMALL.values()), ids=list(_STABLE_SMALL))
+def test_stable_experiment_workers_identical(tmp_path, text):
+    _assert_workers_identical(tmp_path, text)
 
 
 @pytest.mark.parametrize("text, kinds", [
@@ -198,6 +222,35 @@ def test_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith("KeyboardInterrupt")
+
+
+@pytest.mark.parametrize("target, marker", [
+    ("simulate-rwrs_2.0_8.csv", ""),
+    ("summary.txt", ""),
+    # the final manifest, written once every output is in place
+    ("manifest.json", '"status": "complete"'),
+], ids=["csv", "summary", "manifest"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, target, marker):
+    original = Path.write_text
+    failed = []
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        # the first write meant for ``target`` stops halfway, as on a full disk
+        if target in self.name and marker in text and not failed:
+            failed.append(self.name)
+            original(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return original(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    cfg = parse_config(RWRS_SMALL, {"output_dir": str(tmp_path)})
+    with pytest.raises(OSError):
+        run_experiment(cfg)
+    assert failed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("OSError")
 
 
 def test_manifest_completeness(tmp_path):

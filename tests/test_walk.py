@@ -17,6 +17,7 @@ from rwrs.walk import (
     rescale_factor,
     sheet_from_site_values,
     simulate_walk,
+    site_index,
     walk_from_steps,
 )
 
@@ -264,6 +265,86 @@ def test_cut_guard_applies_on_both_sides():
     path = simulate_levy_path(2.0, 1.0, n, SeedScheme(3, StreamKind.LEVY, 0))
     lt = local_time_field(path, 0.1, [s, 1.0])
     assert lt.values[0].sum() * lt.dx == pytest.approx(57 / n, abs=1e-12)
+
+
+def _heavy_step_walk(n=300, r=0):
+    # one step longer than n puts the range past n: site_index falls back
+    steps = np.diff(simulate_walk(n, LAW, _walk_seed(r)).positions, prepend=0)
+    steps[n // 3] = n + 7
+    return walk_from_steps(steps)
+
+
+_BRANCH_WALKS = {
+    "range-lazy": lambda: simulate_walk(300, LAW, _walk_seed(1)),
+    "range-power-tail": lambda: simulate_walk(
+        300, IncrementLaw.power_tail(1.5), _walk_seed(2)),
+    "fallback": _heavy_step_walk,
+}
+
+
+def _cut(n, s):
+    return int(np.floor(n * s + 1e-9))
+
+
+def _oracle_quadratic(positions, s_vec, alpha):
+    # per-prefix visit counts from np.unique, crossed site by site
+    n = positions.size
+    maps = [dict(zip(*np.unique(positions[:_cut(n, s)], return_counts=True)))
+            for s in s_vec]
+    raw = np.array([[float(sum(c * b.get(x, 0) for x, c in a.items())) for b in maps]
+                    for a in maps])
+    return raw * float(n) ** (-2.0 + 1.0 / alpha)
+
+
+def _oracle_sheet(positions, seed, grid):
+    # hashes the scenery once per step, the way the sheet is defined
+    return sheet_from_site_values(derive_site_value(seed, positions), positions.size, grid)
+
+
+def _assert_kernels_match_oracles(path, s_vec, ms):
+    for m in ms:
+        occ = occupation_map(path, m)
+        sites, counts = np.unique(path.positions[:m], return_counts=True)
+        assert np.array_equal(occ.sites, sites) and np.array_equal(occ.counts, counts)
+        assert occ.sites.dtype == sites.dtype and occ.counts.dtype == counts.dtype
+    for alpha in (2.0, 1.5):
+        assert np.array_equal(occupation_quadratic(path, s_vec, alpha),
+                              _oracle_quadratic(path.positions, s_vec, alpha))
+    grid = GridSpec(np.array([0.0, 0.25, 0.57, 1.0]), np.array([0.0, 0.2, 0.57, 1.0]))
+    sheet = empirical_sheet(path, _scenery_seed(4), grid)
+    assert np.array_equal(sheet.values, _oracle_sheet(path.positions, _scenery_seed(4), grid))
+
+
+@pytest.mark.parametrize("make", list(_BRANCH_WALKS.values()), ids=list(_BRANCH_WALKS))
+def test_site_index_branches(make):
+    path = make()
+    sites, index = site_index(path.positions)
+    lo, hi = path.positions.min(), path.positions.max()
+    assert np.array_equal(sites[index], path.positions)
+    assert np.all(np.diff(sites) > 0)
+    if hi - lo < path.n:
+        assert np.array_equal(sites, np.arange(lo, hi + 1))
+    else:
+        assert np.array_equal(sites, np.unique(path.positions))
+    assert (hi - lo >= path.n) == (make is _heavy_step_walk)
+
+
+@pytest.mark.parametrize("make", list(_BRANCH_WALKS.values()), ids=list(_BRANCH_WALKS))
+def test_site_kernels_match_per_step_oracles(make):
+    path = make()
+    _assert_kernels_match_oracles(path, [0.0, 0.25, 0.57, 0.57, 1.0], (1, 17, 100, path.n))
+
+
+_STEPS = st.lists(st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6)),
+                  min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_STEPS, fractions=_FRACTIONS, data=st.data())
+def test_site_kernels_match_oracles_on_random_steps(steps, fractions, data):
+    path = walk_from_steps(steps)
+    m = data.draw(st.integers(1, path.n))
+    _assert_kernels_match_oracles(path, sorted(fractions), (m, path.n))
 
 
 def test_occupation_statistics_match_counts():
