@@ -23,6 +23,7 @@ from .limit import (
     simulate_levy_path,
 )
 from .randomness import (
+    BLOCK,
     Alpha,
     IncrementLaw,
     SeedScheme,
@@ -128,14 +129,14 @@ def two_sample_distance(a, b, permutations: int = 1000,
     observed = float(stats_for(labels_sorted[None, :])[0])
     rng = stream_generator(SeedScheme(seed & 0xFFFFFFFFFFFFFFFF, StreamKind.KIEFER, 0),
                            salt=0x7E57)
+    # row batches of at most BLOCK labels keep every array of a batch small;
+    # permuted shuffles row after row, so the draws do not depend on the batch
+    batch = max(1, BLOCK // labels_sorted.size)
     count = 0
-    batch = 250
-    done = 0
-    while done < permutations:
+    for done in range(0, permutations, batch):
         m = min(batch, permutations - done)
         rows = rng.permuted(np.tile(labels_sorted, (m, 1)), axis=1)
         count += int(np.sum(stats_for(rows) >= observed - 1e-15))
-        done += m
     p_value = (1.0 + count) / (permutations + 1.0)
     return ComparisonReport(
         statistic_name="ks", statistic=observed, p_value=p_value,

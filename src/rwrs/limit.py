@@ -135,6 +135,14 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     L[s][x_j] counts the grid times u_k, 1 <= k <= cut, with the path in
     cell j, normalized by steps * dx so that sum_j L[s][x_j] dx equals
     cut / steps exactly; s is cut by the rule of :func:`rwrs.walk.prefix_counts`.
+
+    A sample v falls in cell ``int((v - x_lo) / dx)``, computed per block
+    of :func:`rwrs.walk.prefix_counts`: the same subtraction, division and
+    truncation as on the whole path, so the bins do not depend on the
+    blocking. The cells pad the path's range by one ``dx`` on each side,
+    so every bin lies inside them without clipping (rounding may put the
+    path's minimum in the first cell); a bin outside would make the count
+    raise.
     """
     if dx <= 0.0:
         raise ValueError("dx must be > 0")
@@ -143,16 +151,12 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
         raise ValueError("s_cuts must be a nonempty 1-d sequence")
 
     steps = path.steps
-    samples = path.values[1:]
     x_lo = float(path.values.min()) - dx
     x_hi = float(path.values.max()) + dx
     cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
     x_left = x_lo + dx * np.arange(cells)
-    offsets = samples - x_lo
-    offsets /= dx
-    bins = offsets.astype(np.int64)
-    np.clip(bins, 0, cells - 1, out=bins)
-    _, counts = prefix_counts(bins, cells, s_cuts)
+    _, counts = prefix_counts(path.values[1:], cells, s_cuts,
+                              lambda v: ((v - x_lo) / dx).astype(np.int64))
     return LocalTimeField(
         x_left=x_left, dx=dx, s_cuts=s_cuts, values=counts * (1.0 / (steps * dx)),
         steps=steps, alpha=path.alpha, scale=path.scale, seed=path.seed)
@@ -225,11 +229,10 @@ def _seed_tuple(seed: SeedScheme | None):
 def local_time_quadratic(lt: LocalTimeField, s_vec) -> np.ndarray:
     """Cross products R[i, j] = sum_k L[s_i][x_k] L[s_j][x_k] dx."""
     s_vec = np.asarray(s_vec, dtype=np.float64)
-    idx = []
-    for s in s_vec:
-        matches = np.nonzero(np.isclose(lt.s_cuts, s, atol=1e-12))[0]
-        if matches.size == 0:
-            raise ValueError(f"s-cut {s} not present in the local-time field")
-        idx.append(matches[0])
-    sel = lt.values[idx]
+    matches = np.isclose(lt.s_cuts[None, :], s_vec[:, None], atol=1e-12)
+    found = matches.any(axis=1)
+    if not found.all():
+        s = s_vec[np.argmin(found)]
+        raise ValueError(f"s-cut {s} not present in the local-time field")
+    sel = lt.values[np.argmax(matches, axis=1)]
     return (sel @ sel.T) * lt.dx

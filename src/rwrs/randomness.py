@@ -25,6 +25,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 TAIL_CUTOFF = 1_000_000
 # Analytic-tail draws are clipped here so that a single step fits in int64.
 MAX_TAIL_STEP = 2**62
+# Entries per block of a replicate kernel's elementwise passes: 64 KiB of
+# float64, under glibc's 128 KiB mmap threshold, so block temporaries are
+# reused from the heap instead of being mapped, faulted in and unmapped
+# again in every replicate. Blocked results equal whole-array ones.
+BLOCK = 8192
 
 
 def _mix64(z: int) -> int:
@@ -253,15 +258,25 @@ def _tail_magnitudes(law: IncrementLaw, u: np.ndarray) -> np.ndarray:
 
 
 def sample_increments(law: IncrementLaw, rng: Generator, size: int) -> np.ndarray:
-    """Draw ``size`` walk steps from ``law`` as an int64 array."""
-    u = rng.random(size)
+    """Draw ``size`` walk steps from ``law`` as an int64 array.
+
+    Each step reads one uniform of ``rng.random``. Lazy steps are drawn
+    :data:`BLOCK` uniforms at a time straight into the output; since
+    ``Generator.random`` takes one 64-bit word per double, in order, the
+    steps are those of a single ``rng.random(size)`` call.
+    """
     if law.kind is LawKind.LAZY_SIMPLE:
         # 2*[u >= 3/4] - [u >= 1/2]: 0 below 1/2, -1 up to 3/4, +1 above
-        out = (u >= 0.75).astype(np.int64)
-        out *= 2
-        out -= u >= 0.5
+        out = np.empty(size, dtype=np.int64)
+        for lo in range(0, size, BLOCK):
+            u = rng.random(min(BLOCK, size - lo))
+            block = out[lo:lo + u.size]
+            np.greater_equal(u, 0.75, out=block)
+            block *= 2
+            block -= u >= 0.5
         return out
 
+    u = rng.random(size)
     p0 = law.p_zero
     side_mass = law.tail_constant * float(zeta(law.alpha.value + 1.0))
     out = np.zeros(size, dtype=np.int64)

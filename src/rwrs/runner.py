@@ -271,30 +271,48 @@ def _exp_simulate_limit(config, map_fn):
     return files, summary
 
 
+# Columns every two-sample row ends with; _report_cells fills them.
+_REPORT_HEADER = ["statistic_name", "statistic", "p_value", "n_a", "n_b"]
+
+
+def _report_cells(rep) -> list:
+    return [rep.statistic_name, rep.statistic, rep.p_value,
+            rep.sample_sizes[0], rep.sample_sizes[1]]
+
+
+def _report_line(label: str, rep, config, prefix: str = "") -> _SummaryLine:
+    """PASS/FAIL line of one two-sample report against ``p_value_min``."""
+    return _SummaryLine(
+        label, rep.p_value > config.p_value_min,
+        f"{prefix}ks={rep.statistic:.4f} p={rep.p_value:.4f} "
+        f"threshold p>{config.p_value_min}")
+
+
+def _report_files(config, header: list[str], rows: list[list],
+                  keyed_reports) -> dict[str, str]:
+    """Summary CSV and ``_reports.json`` of a two-sample experiment."""
+    base = _base_name(config)
+    return {
+        base + ".csv": rows_to_csv(header, rows),
+        base + "_reports.json": reports_json(
+            [report_entry(key, rep) for key, rep in keyed_reports],
+            _report_meta(config)),
+    }
+
+
 def _exp_verify_lemma1(config, map_fn):
     reports = verify_lemma1(
         config.alpha, config.s_vec, config.n, config.replicates,
         _limit_config(config), master_seed=config.master_seed,
         permutations=config.permutations, map_fn=map_fn)
-    header = ["alpha", "n", "entry_i", "entry_j", "s_i", "s_j",
-              "statistic_name", "statistic", "p_value", "n_a", "n_b"]
+    header = ["alpha", "n", "entry_i", "entry_j", "s_i", "s_j"] + _REPORT_HEADER
     rows, summary = [], []
-    for (i, j), rep in sorted(reports.items()):
+    keyed = sorted(reports.items())
+    for (i, j), rep in keyed:
         rows.append([config.alpha, config.n, i, j, config.s_vec[i],
-                     config.s_vec[j], rep.statistic_name, rep.statistic,
-                     rep.p_value, rep.sample_sizes[0], rep.sample_sizes[1]])
-        ok = rep.p_value > config.p_value_min
-        summary.append(_SummaryLine(
-            f"lemma1 entry ({i},{j})", ok,
-            f"ks={rep.statistic:.4f} p={rep.p_value:.4f} "
-            f"threshold p>{config.p_value_min}"))
-    files = {
-        _base_name(config) + ".csv": rows_to_csv(header, rows),
-        _base_name(config) + "_reports.json": reports_json(
-            [report_entry(k, r) for k, r in sorted(reports.items())],
-            _report_meta(config)),
-    }
-    return files, summary
+                     config.s_vec[j]] + _report_cells(rep))
+        summary.append(_report_line(f"lemma1 entry ({i},{j})", rep, config))
+    return _report_files(config, header, rows, keyed), summary
 
 
 def _exp_verify_fdd(config, map_fn):
@@ -302,24 +320,17 @@ def _exp_verify_fdd(config, map_fn):
         config.alpha, config.points, config.n, config.replicates,
         _limit_config(config), master_seed=config.master_seed,
         permutations=config.permutations, map_fn=map_fn)
-    reports = result.reports
-    header = ["alpha", "n", "kind", "point_a", "point_b", "theta",
-              "statistic_name", "statistic", "p_value", "n_a", "n_b"]
+    header = ["alpha", "n", "kind", "point_a", "point_b", "theta"] + _REPORT_HEADER
     rows, summary = [], []
-    for key in sorted(reports, key=repr):
-        rep = reports[key]
+    keyed = [(key, result.reports[key]) for key in sorted(result.reports, key=repr)]
+    for key, rep in keyed:
         if key[0] == "point":
             label, pa, pb, theta = "point", key[1], "", ""
         else:
             label, pa, pb, theta = "pair", key[1], key[2], key[3]
-        rows.append([config.alpha, config.n, label, f"{pa}", f"{pb}", f"{theta}",
-                     rep.statistic_name, rep.statistic, rep.p_value,
-                     rep.sample_sizes[0], rep.sample_sizes[1]])
-        ok = rep.p_value > config.p_value_min
-        summary.append(_SummaryLine(
-            f"fdd {label} {pa}{pb}{theta}", ok,
-            f"ks={rep.statistic:.4f} p={rep.p_value:.4f} "
-            f"threshold p>{config.p_value_min}"))
+        rows.append([config.alpha, config.n, label, f"{pa}", f"{pb}", f"{theta}"]
+                    + _report_cells(rep))
+        summary.append(_report_line(f"fdd {label} {pa}{pb}{theta}", rep, config))
 
     # variance cross-check at points on the terminal section s = 1
     terminal = [p for p in config.points if p[0] == 1.0]
@@ -337,13 +348,7 @@ def _exp_verify_fdd(config, map_fn):
             f"fdd variance at ({s},{t})", ok,
             f"discrete={var_d:.4f} limit={var_limit:.4f} "
             f"rel={rel:.3f} tol={config.var_tol}"))
-    files = {
-        _base_name(config) + ".csv": rows_to_csv(header, rows),
-        _base_name(config) + "_reports.json": reports_json(
-            [report_entry(k, reports[k]) for k in sorted(reports, key=repr)],
-            _report_meta(config)),
-    }
-    return files, summary
+    return _report_files(config, header, rows, keyed), summary
 
 
 def _exp_verify_moments(config, map_fn):
@@ -417,23 +422,13 @@ def _exp_verify_selfsim(config, map_fn):
         _limit_config(config), master_seed=config.master_seed,
         permutations=config.permutations, map_fn=map_fn)
     factor = self_similarity_factor(config.alpha, config.a)
-    header = ["alpha", "a", "s0", "t0", "factor", "statistic_name",
-              "statistic", "p_value", "n_a", "n_b"]
-    rows = [[config.alpha, config.a, config.s0, config.t0, factor,
-             rep.statistic_name, rep.statistic, rep.p_value,
-             rep.sample_sizes[0], rep.sample_sizes[1]]]
-    ok = rep.p_value > config.p_value_min
-    summary = [_SummaryLine(
-        "self-similarity", ok,
-        f"a={config.a} factor={factor:.5f} ks={rep.statistic:.4f} "
-        f"p={rep.p_value:.4f} threshold p>{config.p_value_min}")]
-    files = {
-        _base_name(config) + ".csv": rows_to_csv(header, rows),
-        _base_name(config) + "_reports.json": reports_json(
-            [report_entry(("selfsim", config.a, config.s0, config.t0), rep)],
-            _report_meta(config)),
-    }
-    return files, summary
+    header = ["alpha", "a", "s0", "t0", "factor"] + _REPORT_HEADER
+    rows = [[config.alpha, config.a, config.s0, config.t0, factor]
+            + _report_cells(rep)]
+    summary = [_report_line("self-similarity", rep, config,
+                            prefix=f"a={config.a} factor={factor:.5f} ")]
+    keyed = [(("selfsim", config.a, config.s0, config.t0), rep)]
+    return _report_files(config, header, rows, keyed), summary
 
 
 def _exp_modulus_sweep(config, map_fn):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .randomness import (
+    BLOCK,
     Alpha,
     IncrementLaw,
     SeedScheme,
@@ -90,18 +91,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _positions(steps: np.ndarray, max_step: int | None = None) -> np.ndarray:
-    """Partial sums S_1..S_n of int64 steps; raises where int64 would wrap.
+    """Partial sums S_1..S_n of int64 steps, summed in place; raises where int64 would wrap.
 
     ``max_step`` bounds |step| when the caller knows it. Only when
     ``max_step * n`` does not fit in int64 are the steps scanned for their
     largest magnitude, and only when that bound fails too are the sums
-    checked: a sum that wraps moves against the sign of its step.
+    checked: a sum that wraps moves against the sign of its step, and the
+    wrapping difference of two consecutive sums gives that step back.
     """
     if max_step is None or max_step * steps.size > _INT64_MAX:
         max_step = max(int(steps.max()), -int(steps.min()))
-    positions = np.cumsum(steps)
+    positions = np.cumsum(steps, out=steps)
     if max_step * steps.size > _INT64_MAX:
-        prev = positions - steps
+        prev = np.concatenate(([0], positions[:-1]))
+        steps = positions - prev
         wrapped = ((steps > 0) & (positions < prev)) | ((steps < 0) & (positions > prev))
         if np.any(wrapped):
             k = int(np.argmax(wrapped)) + 1
@@ -121,27 +124,42 @@ def simulate_walk(n: int, law: IncrementLaw, seed: SeedScheme) -> WalkPath:
 def walk_from_steps(steps, law: IncrementLaw | None = None,
                     seed: SeedScheme | None = None) -> WalkPath:
     """Path built from explicit steps; used for forced/deterministic walks."""
-    steps = np.asarray(steps, dtype=np.int64)
+    steps = np.array(steps, dtype=np.int64)
     if steps.size < 1:
         raise ValueError("at least one step required")
     return WalkPath(n=int(steps.size), positions=_positions(steps), law=law, seed=seed)
 
 
-def site_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending sites and each position's index into them: ``sites[index] == positions``.
+def site_map(positions: np.ndarray):
+    """Ascending sites of the positions and a blockwise map into them.
 
-    When the range ``hi - lo`` of the positions is below their number,
-    ``sites`` is the whole range ``lo..hi`` (unvisited sites included) and
-    ``index = positions - lo``, at linear cost. Otherwise, as for a
-    heavy-tailed walk with a long jump, ``sites`` holds the distinct
-    positions only, from ``np.unique``. Either way ``sites`` has at most
-    ``len(positions)`` entries, so per-site work is never more than
-    per-step work.
+    Returns ``(sites, sequence, to_index)`` with
+    ``sites[to_index(sequence)] == positions``; ``to_index`` maps entries
+    one by one, so it can be applied to one block of ``sequence`` at a
+    time, as :func:`prefix_counts` does. When the range ``hi - lo`` of the
+    positions is below their number, ``sites`` is the whole range
+    ``lo..hi`` (unvisited sites included), ``sequence`` is the positions
+    themselves and ``to_index`` subtracts ``lo``, at linear cost. Otherwise,
+    as for a heavy-tailed walk with a long jump, ``sites`` holds the
+    distinct positions only, from ``np.unique``, whose inverse is the
+    ``sequence`` and ``to_index`` is the identity. Either way ``sites``
+    has at most ``len(positions)`` entries, so per-site work is never more
+    than per-step work.
     """
     lo, hi = int(positions.min()), int(positions.max())
     if hi - lo < positions.size:
-        return np.arange(lo, hi + 1, dtype=np.int64), positions - lo
-    return np.unique(positions, return_inverse=True)
+        return np.arange(lo, hi + 1, dtype=np.int64), positions, lambda p: p - lo
+    sites, inverse = np.unique(positions, return_inverse=True)
+    return sites, inverse, lambda i: i
+
+
+def site_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending sites and each position's index into them: ``sites[index] == positions``.
+
+    The whole-array form of :func:`site_map`.
+    """
+    sites, sequence, to_index = site_map(positions)
+    return sites, to_index(sequence)
 
 
 def occupation_map(path: WalkPath, m: int) -> OccupationMap:
@@ -161,36 +179,46 @@ def occupation_map(path: WalkPath, m: int) -> OccupationMap:
     return OccupationMap(sites=sites[visited], counts=counts[visited], m=m)
 
 
-def prefix_counts(bins, size: int, fractions) -> tuple[np.ndarray, np.ndarray]:
+def prefix_counts(sequence, size: int, fractions,
+                  to_bins=None) -> tuple[np.ndarray, np.ndarray]:
     """Running bin counts over the prefixes a sequence of fractions selects.
 
     This is the package's one rule from a fraction s to a prefix length:
-    ``cuts[i] = floor(len(bins) * s_i + 1e-9)``, where the guard keeps a
+    ``cuts[i] = floor(len(sequence) * s_i + 1e-9)``, where the guard keeps a
     decimal such as s = 0.57 from landing one short (0.57 * 100 evaluates
     to 56.99999999999999). ``counts[i]`` is the int64 row
-    ``np.bincount(bins[:cuts[i]], minlength=size)``. Fractions must be
-    ascending and lie in [0, 1]; repeats are allowed.
+    ``np.bincount(bins[:cuts[i]], minlength=size)``, where ``bins`` is
+    ``to_bins(sequence)``, or the sequence itself when ``to_bins`` is None.
+    Fractions must be ascending and lie in [0, 1]; repeats are allowed.
+
+    The sequence is read :data:`~rwrs.randomness.BLOCK` entries at a time,
+    and ``to_bins`` is applied to one block at a time, so bins derived from
+    a long sequence never exist at its full length. ``to_bins`` must map
+    entries one by one; the counts are then those of the whole-array form.
     """
     fractions = np.asarray(fractions, dtype=np.float64)
     if np.any(np.diff(fractions) < 0):
         raise ValueError("fractions must be ascending")
     if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
         raise ValueError("fractions must lie in [0, 1]")
-    cuts = np.floor(fractions * len(bins) + 1e-9).astype(np.int64)
+    cuts = np.floor(fractions * len(sequence) + 1e-9).astype(np.int64)
     counts = np.empty((cuts.size, size), dtype=np.int64)
     running = np.zeros(size, dtype=np.int64)
     prev = 0
     for i, cut in enumerate(cuts):
-        if cut > prev:
-            running += np.bincount(bins[prev:cut], minlength=size)
-            prev = cut
+        for lo in range(prev, cut, BLOCK):
+            block = sequence[lo:min(lo + BLOCK, cut)]
+            running += np.bincount(block if to_bins is None else to_bins(block),
+                                   minlength=size)
+        prev = cut
         counts[i] = running
     return cuts, counts
 
 
-def _sheet_from_buckets(buckets: np.ndarray, grid: GridSpec) -> np.ndarray:
-    # buckets[k] is the first t-level index j with Y_k <= t_j
-    cuts, counts = prefix_counts(buckets, grid.t.size, grid.s)
+def _sheet_from_buckets(sequence, grid: GridSpec, to_buckets) -> np.ndarray:
+    # to_buckets maps a block of the sequence to, for each Y_k, the first
+    # t-level index j with Y_k <= t_j
+    cuts, counts = prefix_counts(sequence, grid.t.size, grid.s, to_buckets)
     return np.cumsum(counts, axis=1) - cuts[:, None] * grid.t
 
 
@@ -199,24 +227,25 @@ def sheet_from_site_values(site_values: np.ndarray, n: int, grid: GridSpec) -> n
     y = np.asarray(site_values, dtype=np.float64)
     if y.size != n:
         raise ValueError("need one scenery observation per step")
-    return _sheet_from_buckets(np.searchsorted(grid.t, y, side="left"), grid)
+    return _sheet_from_buckets(
+        y, grid, lambda v: np.searchsorted(grid.t, v, side="left"))
 
 
 def empirical_sheet(path: WalkPath, scenery_seed: SeedScheme, grid: GridSpec) -> EmpiricalSheet:
     """Evaluate the raw sequential empirical process of the walk's scenery.
 
     Y_k = xi(S_k) depends on the site only, so each site of
-    :func:`site_index` is hashed and bucketed on the t-grid once, and the
-    steps gather their bucket from it. The sites are the range lo..hi of
-    the walk when it holds fewer than n sites, the distinct positions
-    otherwise. The values equal :func:`sheet_from_site_values` of the
-    per-step observations.
+    :func:`site_map` is hashed and bucketed on the t-grid once, and the
+    steps gather their bucket from it, one block at a time. The sites are
+    the range lo..hi of the walk when it holds fewer than n sites, the
+    distinct positions otherwise. The values equal
+    :func:`sheet_from_site_values` of the per-step observations.
     """
-    sites, index = site_index(path.positions)
+    sites, sequence, to_index = site_map(path.positions)
     buckets = np.searchsorted(grid.t, derive_site_value(scenery_seed, sites), side="left")
     alpha = path.law.alpha if path.law is not None else Alpha(2.0)
     return EmpiricalSheet(
-        values=_sheet_from_buckets(buckets[index], grid),
+        values=_sheet_from_buckets(sequence, grid, lambda b: buckets[to_index(b)]),
         grid=grid,
         n=path.n,
         alpha=alpha,
@@ -247,14 +276,14 @@ def occupation_quadratic(path: WalkPath, s_vec, alpha) -> np.ndarray:
 
     Q[i, j] = n^(-2+1/alpha) * sum_x N_{m_i}(x) N_{m_j}(x), with the prefix
     lengths m_i cut from ``s_vec`` by :func:`prefix_counts`. Visits are
-    counted once per site of :func:`site_index`: the range lo..hi of the
+    counted once per site of :func:`site_map`: the range lo..hi of the
     walk when it holds fewer than n sites, the distinct positions
     otherwise; a site with no visit adds nothing. The cross products are
     integers, exact in float64 while they stay below 2^53, that is for n
     up to 2^26.
     """
-    sites, index = site_index(path.positions)
-    _, counts = prefix_counts(index, sites.size, s_vec)
+    sites, sequence, to_index = site_map(path.positions)
+    _, counts = prefix_counts(sequence, sites.size, s_vec, to_index)
     snapshots = counts.astype(np.float64)
     raw = snapshots @ snapshots.T
     return raw * float(path.n) ** (-2.0 + 1.0 / Alpha.of(alpha).value)

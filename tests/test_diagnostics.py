@@ -44,7 +44,7 @@ from rwrs.walk import (
     rescale,
     simulate_walk,
 )
-from rwrs.randomness import Alpha, IncrementLaw, SeedScheme, StreamKind
+from rwrs.randomness import Alpha, IncrementLaw, SeedScheme, StreamKind, stream_generator
 
 SMALL_LIMIT = LimitConfig(steps=2048, cells=64)
 
@@ -113,6 +113,45 @@ def test_ks_invariant_under_monotone_transform():
     base = two_sample_distance(a, b, 500).statistic
     warped = two_sample_distance(np.exp(a), np.exp(b), 500).statistic
     assert base == warped
+
+
+def _batch250_ks(a, b, permutations, seed):
+    # the permutation loop in its earlier form: int64 labels, 250-row batches
+    na, nb = a.size, b.size
+    pooled = np.concatenate((a, b))
+    order = np.argsort(pooled, kind="stable")
+    boundary = np.append(np.diff(pooled[order]) > 0, True)
+    ranks = np.arange(1, na + nb + 1, dtype=np.int64)
+    labels = np.concatenate((np.ones(na, dtype=np.int64),
+                             np.zeros(nb, dtype=np.int64)))[order]
+
+    def stats_for(rows):
+        numer = np.abs(np.cumsum(rows, axis=1) * (na + nb) - ranks * na)
+        return np.max(numer * boundary, axis=1) / float(na * nb)
+
+    observed = float(stats_for(labels[None, :])[0])
+    rng = stream_generator(SeedScheme(seed, StreamKind.KIEFER, 0), salt=0x7E57)
+    count = done = 0
+    while done < permutations:
+        m = min(250, permutations - done)
+        rows = rng.permuted(np.tile(labels, (m, 1)), axis=1)
+        count += int(np.sum(stats_for(rows) >= observed - 1e-15))
+        done += m
+    return observed, (1.0 + count) / (permutations + 1.0)
+
+
+@pytest.mark.parametrize("na, nb, ties", [
+    (500, 500, False), (500, 500, True), (37, 91, True), (5000, 4000, False)])
+def test_two_sample_distance_matches_batch250_form(na, nb, ties):
+    # the label rows come in batches of at most BLOCK labels now; permuted
+    # shuffles row after row, so the p-values must not move
+    rng = np.random.default_rng(na + nb)
+    a, b = rng.normal(size=na), rng.normal(0.1, 1.0, size=nb)
+    if ties:
+        a, b = np.round(a * 2.0), np.round(b * 2.0)
+    for seed in (0, 104729):
+        rep = two_sample_distance(a, b, 1003, seed=seed)
+        assert (rep.statistic, rep.p_value) == _batch250_ks(a, b, 1003, seed)
 
 
 def test_two_sample_validation():

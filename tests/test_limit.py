@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from rwrs.limit import (
+    LocalTimeField,
     default_cell_width,
     kiefer_increments,
     levy_from_values,
@@ -11,7 +14,14 @@ from rwrs.limit import (
     local_time_quadratic,
     simulate_levy_path,
 )
-from rwrs.randomness import Alpha, SeedScheme, StreamKind, stable_standard_sample, stream_generator
+from rwrs.randomness import (
+    BLOCK,
+    Alpha,
+    SeedScheme,
+    StreamKind,
+    stable_standard_sample,
+    stream_generator,
+)
 
 
 def _levy_seed(r=0, master=7):
@@ -103,6 +113,77 @@ def test_local_time_validation():
         local_time_field(p, 0.1, [0.5, 1.5])
     with pytest.raises(ValueError):
         local_time_field(p, 0.1, [0.8, 0.2])
+
+
+def _whole_array_local_time(path, dx, s_cuts):
+    # the binning formula applied to the whole path at once
+    x_lo = float(path.values.min()) - dx
+    x_hi = float(path.values.max()) + dx
+    cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
+    offsets = path.values[1:] - x_lo
+    offsets /= dx
+    bins = offsets.astype(np.int64)
+    cuts = np.floor(np.asarray(s_cuts) * path.steps + 1e-9).astype(np.int64)
+    counts = np.array([np.bincount(bins[:cut], minlength=cells) for cut in cuts])
+    return counts * (1.0 / (path.steps * dx))
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_local_time_blocked_equals_whole_array(steps, alpha):
+    # blocks start at each cut: cuts on multiples of BLOCK leave whole blocks
+    path = simulate_levy_path(alpha, 1.0, steps, _levy_seed(steps))
+    edges = [k * BLOCK for k in (1, 2, 3) if k * BLOCK <= steps]
+    around = [e + d for e in edges for d in (-1, 1) if e + d <= steps]
+    dx = default_cell_width(path, 64)
+    for cuts in ([], edges, around):
+        s_cuts = sorted({0.0, 1.0, *(c / steps for c in cuts)})
+        assert set(cuts) <= set(np.floor(np.asarray(s_cuts) * steps + 1e-9).tolist())
+        lt = local_time_field(path, dx, s_cuts)
+        expected = _whole_array_local_time(path, dx, s_cuts)
+        assert lt.values.shape == expected.shape
+        assert lt.values.tobytes() == expected.tobytes()
+
+
+def test_local_time_field_peak_memory():
+    # only the small outputs may reach full size, never a per-sample array
+    path = simulate_levy_path(2.0, 1.0, 1 << 17, _levy_seed(3))
+    dx = default_cell_width(path, 512)
+    tracemalloc.start()
+    try:
+        local_time_field(path, dx, [0.25, 0.5, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def _jump_path(jump):
+    values = np.concatenate(([0.0], np.cumsum(np.full(999, 0.01))))
+    values[500:] += jump
+    return levy_from_values(values, 1.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: simulate_levy_path(2.0, 1.0, 4096, _levy_seed(r)),
+    lambda r: simulate_levy_path(1.5, 1.0, 4096, _levy_seed(r)),
+    lambda r: simulate_levy_path(1.2, 1.0, 4096, _levy_seed(r)),
+    lambda r: _jump_path(1e6 * (r + 1)),
+    lambda r: _jump_path(-1e6 * (r + 1)),
+], ids=["alpha2", "alpha1.5", "alpha1.2", "jump-up", "jump-down"])
+def test_local_time_bins_stay_inside_padded_cells(make):
+    # the last cell is padding only; the first can hold only samples at the
+    # path's minimum, whose offset from x_lo = min - dx may round below dx
+    for r in range(20):
+        path = make(r)
+        samples = path.values[1:]
+        for cells in (16, 512):
+            dx = default_cell_width(path, cells)
+            lt = local_time_field(path, dx, [0.5, 1.0])
+            assert np.all(lt.values[:, -1] == 0.0)
+            first = int(np.rint(lt.values[-1, 0] * path.steps * dx))
+            assert first <= int(np.sum(samples <= samples.min() + 1e-9 * dx))
+            assert lt.values[-1].sum() * dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kiefer_bridge_endpoints():
@@ -247,3 +328,14 @@ def test_local_time_quadratic_cauchy_schwarz():
     for i in range(3):
         for j in range(3):
             assert R[i, j] ** 2 <= R[i, i] * R[j, j] * (1 + 1e-12)
+
+
+def test_local_time_quadratic_cut_lookup():
+    # each s takes the first cut within 1e-12; the rows are told apart here
+    lt = LocalTimeField(x_left=np.array([0.0, 1.0]), dx=1.0,
+                        s_cuts=np.array([0.5, 0.5 + 5e-13, 1.0]),
+                        values=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]), steps=1)
+    assert np.array_equal(local_time_quadratic(lt, [0.5, 1.0]),
+                          np.array([[1.0, 2.0], [2.0, 13.0]]))
+    with pytest.raises(ValueError, match=r"^s-cut 0\.3 not present in the local-time field$"):
+        local_time_quadratic(lt, [1.0, 0.3, 0.7])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from rwrs.diagnostics import two_sample_distance
 from rwrs.randomness import (
+    BLOCK,
     Alpha,
     IncrementLaw,
     LawKind,
@@ -100,6 +103,31 @@ def test_lazy_law_boundaries():
     x = sample_increments(IncrementLaw.lazy_simple(), _FixedUniforms(u), len(u))
     assert x.dtype == np.int64
     assert x.tolist() == [0, 0, -1, -1, 1, 1]
+
+
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_lazy_increments_blocked_equal_one_draw(size):
+    seed = SeedScheme(11, StreamKind.WALK, size)
+    rng = stream_generator(seed)
+    x = sample_increments(IncrementLaw.lazy_simple(), rng, size)
+    oracle = stream_generator(seed)
+    u = oracle.random(size)
+    expected = 2 * (u >= 0.75).astype(np.int64) - (u >= 0.5)
+    assert x.dtype == np.int64 and np.array_equal(x, expected)
+    # the stream goes on where a single call would have left it
+    assert rng.random() == oracle.random()
+
+
+def test_lazy_increments_peak_memory():
+    n = 1 << 16
+    rng = stream_generator(SeedScheme(12, StreamKind.WALK, 0))
+    tracemalloc.start()
+    try:
+        sample_increments(IncrementLaw.lazy_simple(), rng, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 + 256 * 1024
 
 
 def test_lazy_law_requires_alpha_two():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import rwrs.walk as walk_mod
 from rwrs.limit import local_time_field, simulate_levy_path
-from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind, derive_site_value
+from rwrs.randomness import BLOCK, IncrementLaw, SeedScheme, StreamKind, derive_site_value
 from rwrs.walk import (
     GridSpec,
     empirical_sheet,
@@ -345,6 +345,54 @@ def test_site_kernels_match_oracles_on_random_steps(steps, fractions, data):
     path = walk_from_steps(steps)
     m = data.draw(st.integers(1, path.n))
     _assert_kernels_match_oracles(path, sorted(fractions), (m, path.n))
+
+
+# sizes around the block length of the blocked passes, and cuts on block edges
+_BLOCK_SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def _block_edge_fraction_sets(n):
+    """Fractions whose cuts land on block edges, next to them, or only at n.
+
+    Blocks start at each cut, so only cuts at multiples of BLOCK leave
+    whole blocks between them.
+    """
+    edges = [k * BLOCK for k in (1, 2, 3) if k * BLOCK <= n]
+    around = [e + d for e in edges for d in (-1, 1) if e + d <= n]
+    sets = [sorted({0.0, 1.0, *(c / n for c in cuts)}) for cuts in ([], edges, around)]
+    for fractions, cuts in zip(sets[1:], (edges, around)):
+        assert set(cuts) <= set(np.floor(np.asarray(fractions) * n + 1e-9).tolist())
+    return sets
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_prefix_counts_blocked_equals_whole_array(n):
+    values = np.random.default_rng(n).normal(size=n)
+
+    def to_bins(v):
+        return (np.abs(v) * 3.0).astype(np.int64)
+
+    bins = to_bins(values)
+    size = int(bins.max()) + 1
+    for fractions in _block_edge_fraction_sets(n):
+        cuts, counts = prefix_counts(values, size, fractions, to_bins)
+        assert np.array_equal(cuts, np.floor(np.asarray(fractions) * n + 1e-9))
+        for cut, row in zip(cuts, counts):
+            assert np.array_equal(row, np.bincount(bins[:cut], minlength=size))
+        # without a map the sequence holds the bins themselves
+        assert np.array_equal(prefix_counts(bins, size, fractions)[1], counts)
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_site_kernels_blocked_match_oracles(n):
+    for path in (simulate_walk(n, LAW, _walk_seed(n)), _heavy_step_walk(n, r=n)):
+        for fractions in _block_edge_fraction_sets(n):
+            assert np.array_equal(occupation_quadratic(path, fractions, 2.0),
+                                  _oracle_quadratic(path.positions, fractions, 2.0))
+            grid = GridSpec(np.array(fractions), np.array([0.0, 0.2, 0.57, 1.0]))
+            assert np.array_equal(
+                empirical_sheet(path, _scenery_seed(n), grid).values,
+                _oracle_sheet(path.positions, _scenery_seed(n), grid))
 
 
 def test_occupation_statistics_match_counts():
