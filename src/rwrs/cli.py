@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import _PARSERS, ConfigError, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .runner import run_experiment
 
 USAGE = """\
@@ -22,7 +23,8 @@ Exit status: 0 all thresholds met, 1 threshold failure, 2 error.
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if any(tok in ("-h", "--help") for tok in argv):
-        print(USAGE.format(keys=", ".join(sorted(_PARSERS))))
+        keys = sorted(f.name for f in fields(ExperimentConfig))
+        print(USAGE.format(keys=", ".join(keys)))
         return 0
 
     config_path: str | None = None

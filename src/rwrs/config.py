@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,78 +59,48 @@ class ExperimentConfig:
     holder_ratio_max: float = 2.0
 
 
-_PARSERS = {
-    "experiment": str,
-    "alpha": float,
-    "n": int,
-    "n_list": "int_list",
-    "replicates": int,
-    "s_grid": "float_list",
-    "t_grid": "float_list",
-    "K": int,
-    "cells": int,
-    "master_seed": int,
-    "workers": int,
-    "output_dir": str,
-    "s_vec": "float_list",
-    "points": "points",
-    "a": float,
-    "s0": float,
-    "t0": float,
-    "deltas": "float_list",
-    "gamma": float,
-    "gamma_prime": float,
-    "grid_points": int,
-    "permutations": int,
-    "p_value_min": float,
-    "var_tol": float,
-    "holder_ratio_max": float,
-}
+def _value_type(hint):
+    """A field's type, or the non-``None`` member of an optional one."""
+    members = [arg for arg in get_args(hint) if arg is not type(None)]
+    return members[0] if len(members) < len(get_args(hint)) else hint
+
+
+# config key -> type its value parses to, read from the field annotations
+_VALUE_TYPES = {name: _value_type(hint)
+                for name, hint in get_type_hints(ExperimentConfig).items()}
+
+
+def _parse(value_type, raw: str):
+    """Scalars parse with their type; ``tuple[X, ...]`` is a comma list of X
+    and ``tuple[X, Y]`` one ``X:Y`` pair."""
+    args = get_args(value_type)
+    if get_origin(value_type) is tuple and args[-1] is Ellipsis:
+        return tuple(_parse(args[0], item) for item in raw.split(",") if item.strip())
+    if get_origin(value_type) is tuple:
+        parts = raw.split(":")
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} ':'-separated parts")
+        return tuple(_parse(arg, part) for arg, part in zip(args, parts))
+    return value_type(raw)
+
+
+def _format(value_type, value) -> str:
+    """Inverse of :func:`_parse`; floats keep every digit through ``repr``."""
+    args = get_args(value_type)
+    if get_origin(value_type) is tuple and args[-1] is Ellipsis:
+        return ",".join(_format(args[0], item) for item in value)
+    if get_origin(value_type) is tuple:
+        return ":".join(_format(arg, part) for arg, part in zip(args, value))
+    return repr(float(value)) if value_type is float else str(value_type(value))
 
 
 def _parse_value(key: str, raw: str):
-    kind = _PARSERS[key]
+    value_type = _VALUE_TYPES[key]
     raw = raw.strip()
     try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "int_list":
-            return tuple(int(x) for x in raw.split(",") if x.strip())
-        if kind == "float_list":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        if kind == "points":
-            out = []
-            for token in raw.split(","):
-                token = token.strip()
-                if not token:
-                    continue
-                s, t = token.split(":")
-                out.append((float(s), float(t)))
-            return tuple(out)
+        return _parse(value_type, raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
-    raise AssertionError(f"unhandled parser kind {kind}")
-
-
-def _format_value(key: str, value) -> str:
-    kind = _PARSERS[key]
-    if kind is str:
-        return str(value)
-    if kind is int:
-        return str(int(value))
-    if kind is float:
-        return repr(float(value))
-    if kind == "int_list":
-        return ",".join(str(int(x)) for x in value)
-    if kind == "float_list":
-        return ",".join(repr(float(x)) for x in value)
-    if kind == "points":
-        return ",".join(f"{repr(float(s))}:{repr(float(t))}" for s, t in value)
-    raise AssertionError(f"unhandled parser kind {kind}")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -143,11 +114,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
             raise ConfigError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, value = stripped.split(":", 1)
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in _VALUE_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     for key, value in (overrides or {}).items():
-        if key not in _PARSERS:
+        if key not in _VALUE_TYPES:
             raise ConfigError(f"unknown key {key!r}")
         raw[key] = value
 
@@ -198,7 +169,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             continue
-        lines.append(f"{f.name}: {_format_value(f.name, value)}")
+        lines.append(f"{f.name}: {_format(_VALUE_TYPES[f.name], value)}")
     return "\n".join(lines) + "\n"
 
 

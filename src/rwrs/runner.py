@@ -10,7 +10,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,24 +38,11 @@ from .walk import EmpiricalSheet, GridSpec
 
 OUTPUT_DIR_ENV = "RWRS_OUTPUT_DIR"
 
-_EXPERIMENT_STREAMS = {
-    "simulate-rwrs": (StreamKind.WALK, StreamKind.SCENERY),
-    "simulate-limit": (StreamKind.LEVY, StreamKind.KIEFER),
-    "verify-lemma1": (StreamKind.WALK, StreamKind.LEVY),
-    "verify-fdd": (StreamKind.WALK, StreamKind.SCENERY,
-                   StreamKind.LEVY, StreamKind.KIEFER),
-    "verify-moments": (StreamKind.WALK,),
-    "verify-holder": (StreamKind.LEVY, StreamKind.KIEFER),
-    "verify-selfsim": (StreamKind.LEVY, StreamKind.KIEFER),
-    "modulus-sweep": (StreamKind.WALK, StreamKind.SCENERY),
-}
-
 _SLOPE_CHECKS = {
     # functional -> (target exponent as function of alpha, tolerance)
     "sumN2": (lambda a: 2.0 - 1.0 / a, 0.10),
     "sumN3": (lambda a: 3.0 - 2.0 / a, 0.15),
     "sumN4": (lambda a: 4.0 - 3.0 / a, 0.20),
-    "sumN2_sq": (lambda a: 4.0 - 2.0 / a, 0.20),
 }
 
 _MOMENT_FUNCTIONALS = ("sumN2", "sumN3", "sumN4", "maxN_scaled")
@@ -78,21 +65,6 @@ class RunManifest:
     passed: bool | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "experiment": self.experiment,
-            "config_text": self.config_text,
-            "replicate_seeds": self.replicate_seeds,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "status": self.status,
-            "outputs": self.outputs,
-            "passed": self.passed,
-            "error": self.error,
-        }
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -100,7 +72,7 @@ def _now() -> str:
 
 def _replicate_seeds(config: ExperimentConfig) -> list:
     """Key of every stream the experiment draws, one entry per replicate."""
-    streams = _EXPERIMENT_STREAMS[config.experiment]
+    _, streams = _EXPERIMENTS[config.experiment]
     if config.experiment == "verify-moments":
         # the walks of each n are drawn under their own master seed
         sizes = config.n_list or sorted(set(_MAXN_N_LIST + _SUM_N_LIST))
@@ -178,7 +150,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         else:
             map_fn = map
 
-        files, summary = _EXPERIMENT_IMPL[config.experiment](config, map_fn)
+        implementation, _ = _EXPERIMENTS[config.experiment]
+        files, summary = implementation(config, map_fn)
 
         for name, text in files.items():
             path = out_path / name
@@ -224,7 +197,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    _write_atomic(path, json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
 
 
 def _report_meta(config: ExperimentConfig) -> dict:
@@ -456,13 +429,15 @@ def _exp_modulus_sweep(config, map_fn):
     return files, summary
 
 
-_EXPERIMENT_IMPL = {
-    "simulate-rwrs": _exp_simulate_rwrs,
-    "simulate-limit": _exp_simulate_limit,
-    "verify-lemma1": _exp_verify_lemma1,
-    "verify-fdd": _exp_verify_fdd,
-    "verify-moments": _exp_verify_moments,
-    "verify-holder": _exp_verify_holder,
-    "verify-selfsim": _exp_verify_selfsim,
-    "modulus-sweep": _exp_modulus_sweep,
+# experiment -> (implementation, streams it draws, as listed in the manifest)
+_EXPERIMENTS = {
+    "simulate-rwrs": (_exp_simulate_rwrs, (StreamKind.WALK, StreamKind.SCENERY)),
+    "simulate-limit": (_exp_simulate_limit, (StreamKind.LEVY, StreamKind.KIEFER)),
+    "verify-lemma1": (_exp_verify_lemma1, (StreamKind.WALK, StreamKind.LEVY)),
+    "verify-fdd": (_exp_verify_fdd, (StreamKind.WALK, StreamKind.SCENERY,
+                                     StreamKind.LEVY, StreamKind.KIEFER)),
+    "verify-moments": (_exp_verify_moments, (StreamKind.WALK,)),
+    "verify-holder": (_exp_verify_holder, (StreamKind.LEVY, StreamKind.KIEFER)),
+    "verify-selfsim": (_exp_verify_selfsim, (StreamKind.LEVY, StreamKind.KIEFER)),
+    "modulus-sweep": (_exp_modulus_sweep, (StreamKind.WALK, StreamKind.SCENERY)),
 }

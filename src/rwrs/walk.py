@@ -289,9 +289,6 @@ def occupation_quadratic(path: WalkPath, s_vec, alpha) -> np.ndarray:
     return raw * float(path.n) ** (-2.0 + 1.0 / Alpha.of(alpha).value)
 
 
-OCCUPATION_FUNCTIONALS = ("sumN2", "sumN3", "sumN4", "sumN2_sq", "maxN_scaled")
-
-
 def occupation_statistic(path: WalkPath, functional: str, alpha=None) -> float:
     """Scalar occupation functional of the full path."""
     counts = occupation_map(path, path.n).counts.astype(np.float64)

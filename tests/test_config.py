@@ -157,3 +157,47 @@ def test_grid_validation():
 def test_invalid_value_type():
     with pytest.raises(ConfigError, match="invalid value"):
         parse_config("experiment: simulate-rwrs\nn: eight\n")
+
+
+@pytest.mark.parametrize("line", ["n_list: 1,x", "s_vec: 0,a", "points: 1:2:3",
+                                  "points: 1", "points: a:0.5"])
+def test_invalid_list_and_pair_values(line):
+    key = line.split(":", 1)[0]
+    with pytest.raises(ConfigError, match=f"invalid value for '{key}'"):
+        parse_config(f"experiment: verify-fdd\n{line}\n")
+
+
+def test_serialized_form_of_every_key():
+    cfg = ExperimentConfig(
+        experiment="verify-fdd", alpha=1.5, n=4096, n_list=(256, 512),
+        replicates=40, s_grid=(0.0, 0.25, 0.57, 1.0), t_grid=(0.0, 0.3, 1.0),
+        K=1024, cells=32, master_seed=7, workers=2, output_dir="out/dir",
+        s_vec=(0.3, 0.57, 1.0), points=((1.0, 0.5), (0.57, 0.25)), a=0.5,
+        s0=0.75, t0=0.25, deltas=(0.1, 0.2), gamma=0.6, gamma_prime=0.4,
+        grid_points=16, permutations=600, p_value_min=0.05, var_tol=0.2,
+        holder_ratio_max=3.0)
+    assert serialize_config(cfg) == (
+        "experiment: verify-fdd\nalpha: 1.5\nn: 4096\nn_list: 256,512\n"
+        "replicates: 40\ns_grid: 0.0,0.25,0.57,1.0\nt_grid: 0.0,0.3,1.0\n"
+        "K: 1024\ncells: 32\nmaster_seed: 7\nworkers: 2\noutput_dir: out/dir\n"
+        "s_vec: 0.3,0.57,1.0\npoints: 1.0:0.5,0.57:0.25\na: 0.5\ns0: 0.75\n"
+        "t0: 0.25\ndeltas: 0.1,0.2\ngamma: 0.6\ngamma_prime: 0.4\n"
+        "grid_points: 16\npermutations: 600\np_value_min: 0.05\nvar_tol: 0.2\n"
+        "holder_ratio_max: 3.0\n")
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# the benchmark's workload configs (perfbench/workloads.py) and their hashes
+@pytest.mark.parametrize("text, digest", [
+    ("experiment: verify-fdd\nalpha: 2.0\nn: 65536\n"
+     "points: 1:0.5,0.5:0.25,0.5:0.75\nreplicates: 500\nworkers: 1\n",
+     "92d8211b557ad610"),
+    ("experiment: verify-lemma1\nalpha: 1.5\nn: 65536\n"
+     "s_vec: 0.25,0.5,1\nreplicates: 500\nworkers: 2\n",
+     "b5979a9e1fab0d64"),
+    ("experiment: verify-holder\nalpha: 2.0\ngrid_points: 32\n"
+     "replicates: 20\nworkers: 1\n",
+     "afd4d0c2c1676456"),
+], ids=["fdd-gauss", "lemma1-stable", "holder-refine"])
+def test_workload_config_hashes(text, digest):
+    assert config_hash(parse_config(text)) == digest

@@ -11,7 +11,7 @@ import pytest
 import rwrs.diagnostics
 import rwrs.runner
 from rwrs.cli import main
-from rwrs.config import config_hash, parse_config
+from rwrs.config import EXPERIMENTS, config_hash, parse_config
 from rwrs.diagnostics import THETA_COMBINATIONS
 from rwrs.io import parse_sheet_csv
 from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind, derive_site_value
@@ -185,6 +185,10 @@ def test_manifest_lists_the_drawn_streams(tmp_path, monkeypatch, text):
     assert listed == drawn
 
 
+def test_every_experiment_has_an_implementation():
+    assert set(rwrs.runner._EXPERIMENTS) == set(EXPERIMENTS)
+
+
 def test_missing_output_dir_leaves_nothing(tmp_path):
     cfg = parse_config(RWRS_SMALL, {"output_dir": str(tmp_path / "nope")})
     with pytest.raises(FileNotFoundError):
@@ -213,8 +217,9 @@ def test_interrupt_removes_partial_outputs(tmp_path, monkeypatch):
             yield "partial.csv", "x\n"
             raise KeyboardInterrupt
 
-    monkeypatch.setitem(rwrs.runner._EXPERIMENT_IMPL, "simulate-rwrs",
-                        lambda config, map_fn: (InterruptedFiles(), []))
+    _, streams = rwrs.runner._EXPERIMENTS["simulate-rwrs"]
+    monkeypatch.setitem(rwrs.runner._EXPERIMENTS, "simulate-rwrs",
+                        (lambda config, map_fn: (InterruptedFiles(), []), streams))
     cfg = parse_config(RWRS_SMALL, {"output_dir": str(tmp_path)})
     with pytest.raises(KeyboardInterrupt):
         run_experiment(cfg)
