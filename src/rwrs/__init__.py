@@ -10,7 +10,6 @@ from .randomness import (  # noqa: F401
     SeedScheme,
     StreamKind,
     derive_site_value,
-    sample_increment,
     sample_increments,
     stable_standard_sample,
     stream_generator,

@@ -156,6 +156,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("p_value_min must lie in [0, 1]")
     if config.permutations < 500:
         raise ConfigError("permutations must be >= 500")
+    output_dir = config.output_dir or ""
+    if "#" in output_dir or "".join(output_dir.splitlines()) != output_dir:
+        # the config text could not hold it: '#' starts a comment, and a line
+        # break (any that str.splitlines splits at) ends the value
+        raise ConfigError("output_dir must not contain '#' or a line break")
     try:
         GridSpec(np.asarray(config.s_grid), np.asarray(config.t_grid))
     except ValueError as exc:

@@ -298,25 +298,75 @@ def sample_increments(law: IncrementLaw, rng: Generator, size: int) -> np.ndarra
     return out
 
 
-def sample_increment(law: IncrementLaw, rng: Generator) -> int:
-    """Draw a single walk step."""
-    return int(sample_increments(law, rng, 1)[0])
+# Floor on min(u, 1 - u) in the stable sampler: Generator.random can return
+# 0, where cos(Theta) would be 0 and the draw infinite.
+_STABLE_V_MIN = 2.0**-54
 
 
 def stable_standard_sample(alpha: Alpha, size: int, rng: Generator) -> np.ndarray:
     """Symmetric alpha-stable draws (unit scale), alpha < 2.
 
-    Uniform-exponential transform: with Theta uniform on (-pi/2, pi/2) and E
+    Chambers-Mallows-Stuck transform (Chambers, Mallows and Stuck 1976;
+    Weron 1996): with Theta = pi (u - 1/2) uniform on (-pi/2, pi/2) and E
     standard exponential,
         sin(a Theta)/cos(Theta)^(1/a) * (cos((1-a) Theta)/E)^((1-a)/a)
-    has characteristic function exp(-|t|^a).
+    has characteristic function exp(-|t|^a). The stream is read as
+    ``rng.random(size)`` followed by ``rng.standard_exponential(size)``.
+
+    Each trigonometric factor is taken from the tangent of a half angle,
+    which numpy evaluates in vectorized loops where ``sin`` and ``cos`` may
+    fall back to scalar libm: sin x = 2t/(1+t^2) and cos x = (1-t^2)/(1+t^2)
+    with t = tan(x/2). For 1 < a < 2 every half angle lies inside
+    (-pi/2, pi/2). cos(Theta) is taken as sin(pi v) with v = min(u, 1 - u),
+    which keeps its relative accuracy near Theta = +-pi/2; v is floored at
+    2^-54 so that u = 0 still gives a finite draw. The powers are one
+    ``exp`` of a sum of logarithms. Entries are transformed :data:`BLOCK`
+    at a time.
     """
     a = alpha.value
     if a >= 2.0:
         raise ValueError("stable sampler is for alpha < 2; use Gaussian draws at alpha = 2")
-    theta = np.pi * (rng.random(size) - 0.5)
-    expo = rng.standard_exponential(size)
-    s = np.sin(a * theta) / np.cos(theta) ** (1.0 / a)
-    w = (np.cos((1.0 - a) * theta) / expo) ** ((1.0 - a) / a)
-    return s * w
+    u = rng.random(size)
+    out = np.empty(size, dtype=np.float64)
+    scratch = np.empty((4, min(size, BLOCK)))
+    for lo in range(0, size, BLOCK):
+        m = min(BLOCK, size - lo)
+        ub, x = u[lo:lo + m], out[lo:lo + m]
+        expo, t, w, y = scratch[:, :m]
+        rng.standard_exponential(out=expo)
+        # y = -log(cos Theta)/a, cos Theta = 2 t/(1 + t^2) at t = tan(pi v/2)
+        np.subtract(1.0, ub, out=t)
+        np.minimum(t, ub, out=t)
+        np.maximum(t, _STABLE_V_MIN, out=t)
+        t *= np.pi / 2.0
+        np.tan(t, out=t)
+        np.multiply(t, t, out=w)
+        w += 1.0
+        np.divide(t, w, out=y)
+        y *= 2.0
+        np.log(y, out=y)
+        y *= -1.0 / a
+        # y += (1-a)/a log(cos((1-a) Theta)/E), with
+        # cos((1-a) Theta) = (1 - t^2)/(1 + t^2) at t = tan((1-a) Theta/2)
+        np.subtract(ub, 0.5, out=x)
+        np.multiply(x, (1.0 - a) * np.pi / 2.0, out=t)
+        np.tan(t, out=t)
+        t *= t
+        np.add(t, 1.0, out=w)
+        np.subtract(1.0, t, out=t)
+        t /= w
+        t /= expo
+        np.log(t, out=t)
+        t *= (1.0 - a) / a
+        y += t
+        np.exp(y, out=y)
+        # x = sin(a Theta) exp(y), sin(a Theta) = 2 t/(1 + t^2) at t = tan(a Theta/2)
+        x *= a * np.pi / 2.0
+        np.tan(x, out=x)
+        np.multiply(x, x, out=w)
+        w += 1.0
+        x *= 2.0
+        x /= w
+        x *= y
+    return out
 

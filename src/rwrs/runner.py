@@ -10,7 +10,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -197,7 +197,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    _write_atomic(path, json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
+    # vars, not asdict: the fields are plain JSON values, and asdict would
+    # deep-copy the seed list on every write
+    _write_atomic(path, json.dumps(vars(manifest), sort_keys=True, indent=2) + "\n")
 
 
 def _report_meta(config: ExperimentConfig) -> dict:

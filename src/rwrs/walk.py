@@ -153,28 +153,19 @@ def site_map(positions: np.ndarray):
     return sites, inverse, lambda i: i
 
 
-def site_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending sites and each position's index into them: ``sites[index] == positions``.
-
-    The whole-array form of :func:`site_map`.
-    """
-    sites, sequence, to_index = site_map(positions)
-    return sites, to_index(sequence)
-
-
 def occupation_map(path: WalkPath, m: int) -> OccupationMap:
     """Exact visit counts of S_1..S_m (the start S_0 = 0 is not counted).
 
     Visits are counted once per site by a ``bincount`` over
-    :func:`site_index` of the prefix: over the range lo..hi of S_1..S_m
+    :func:`site_map` of the prefix: over the range lo..hi of S_1..S_m
     when it holds fewer than m sites, over the distinct positions
     otherwise. Sites with no visit are dropped, so ``sites`` holds the
     distinct visited sites in ascending order.
     """
     if not 1 <= m <= path.n:
         raise ValueError("prefix length m must satisfy 1 <= m <= path.n")
-    sites, index = site_index(path.positions[:m])
-    counts = np.bincount(index, minlength=sites.size)
+    sites, sequence, to_index = site_map(path.positions[:m])
+    counts = np.bincount(to_index(sequence), minlength=sites.size)
     visited = np.flatnonzero(counts)
     return OccupationMap(sites=sites[visited], counts=counts[visited], m=m)
 

@@ -13,7 +13,6 @@ from rwrs.randomness import (
     SeedScheme,
     StreamKind,
     derive_site_value,
-    sample_increment,
     sample_increments,
     stable_standard_sample,
     stream_generator,
@@ -193,14 +192,6 @@ def test_increment_symmetry_and_odd_moments():
         assert abs(moments.mean()) <= 4 * se
 
 
-def test_single_increment_matches_stream():
-    law = IncrementLaw.lazy_simple()
-    seed = SeedScheme(21, StreamKind.WALK, 5)
-    one = sample_increment(law, stream_generator(seed))
-    many = sample_increments(law, stream_generator(seed), 4)
-    assert one == many[0]
-
-
 def test_stream_determinism_and_independence():
     seed = SeedScheme(99, StreamKind.LEVY, 3)
     a = stream_generator(seed).random(8)
@@ -216,6 +207,68 @@ def test_stable_sampler_rejects_alpha_two():
     rng = stream_generator(SeedScheme(1, StreamKind.LEVY, 0))
     with pytest.raises(ValueError):
         stable_standard_sample(Alpha(2.0), 10, rng)
+
+
+def _stable_reference(alpha, u, expo):
+    # the same transform of the same (u, E) in long double, with
+    # cos(Theta) = sin(pi v), v = min(u, 1 - u), exact near Theta = +-pi/2
+    ld = np.longdouble
+    a, u, e = ld(alpha), u.astype(ld), expo.astype(ld)
+    pi = 4 * np.arctan(ld(1))
+    theta = pi * (u - ld(0.5))
+    cos_theta = np.sin(pi * np.minimum(u, 1 - u))
+    return (np.sin(a * theta) / cos_theta ** (1 / a)
+            * (np.cos((1 - a) * theta) / e) ** ((1 - a) / a))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_stable_sample_matches_long_double_reference(alpha):
+    n = 1 << 16
+    seed = SeedScheme(31, StreamKind.LEVY, 0)
+    x = stable_standard_sample(Alpha(alpha), n, stream_generator(seed))
+    oracle = stream_generator(seed)
+    u = oracle.random(n)
+    expected = _stable_reference(alpha, u, oracle.standard_exponential(n))
+    assert np.all(np.isfinite(x))
+    rel = np.abs((x - expected) / expected).astype(np.float64)
+    assert rel.max() <= 1e-13
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_stable_sample_reads_uniforms_then_exponentials(size):
+    seed = SeedScheme(32, StreamKind.LEVY, size)
+    rng = stream_generator(seed)
+    x = stable_standard_sample(Alpha(1.5), size, rng)
+    oracle = stream_generator(seed)
+    oracle.random(size)
+    oracle.standard_exponential(size)
+    assert x.shape == (size,)
+    assert _state(rng) == _state(oracle)
+
+
+class _ZeroUniforms:
+    """Generator stub: every uniform is 0 and every exponential 1."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_exponential(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = 1.0
+        return out
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_stable_sample_finite_at_zero_uniform(alpha):
+    # u = 0 is Theta = -pi/2, where cos(Theta) vanishes
+    x = stable_standard_sample(Alpha(alpha), 3, _ZeroUniforms())
+    assert np.all(np.isfinite(x)) and np.all(x < 0.0)
 
 
 def test_stable_scale_lazy_exact():

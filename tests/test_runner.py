@@ -3,6 +3,7 @@ import csv
 import io
 import json
 from collections import Counter, defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,22 @@ def test_manifest_completeness(tmp_path):
     assert config_hash(reparsed) == data["config_hash"]
     assert data["replicate_seeds"][0]["replicate"] == 0
     assert "walk" in data["replicate_seeds"][0]
+
+
+def test_manifest_bytes_equal_the_deep_copy_form(tmp_path):
+    # the manifest is dumped from vars(); asdict() would copy the seed list
+    cfg = parse_config("experiment: verify-lemma1\nalpha: 1.5\nreplicates: 500\n",
+                       {"output_dir": str(tmp_path)})
+    manifest = rwrs.runner.RunManifest(
+        config_hash=config_hash(cfg), code_version="0", experiment=cfg.experiment,
+        config_text="experiment: verify-lemma1\n",
+        replicate_seeds=rwrs.runner._replicate_seeds(cfg), started_at="t0",
+        finished_at="t1", status="complete", outputs=["a.csv", "manifest.json"],
+        passed=False)
+    assert len(manifest.replicate_seeds) == 500
+    path = tmp_path / "manifest.json"
+    rwrs.runner._write_manifest(path, manifest)
+    assert path.read_text() == json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_fdd_experiment(tmp_path):

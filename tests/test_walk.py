@@ -17,7 +17,7 @@ from rwrs.walk import (
     rescale_factor,
     sheet_from_site_values,
     simulate_walk,
-    site_index,
+    site_map,
     walk_from_steps,
 )
 
@@ -268,7 +268,7 @@ def test_cut_guard_applies_on_both_sides():
 
 
 def _heavy_step_walk(n=300, r=0):
-    # one step longer than n puts the range past n: site_index falls back
+    # one step longer than n puts the range past n: site_map falls back
     steps = np.diff(simulate_walk(n, LAW, _walk_seed(r)).positions, prepend=0)
     steps[n // 3] = n + 7
     return walk_from_steps(steps)
@@ -318,7 +318,10 @@ def _assert_kernels_match_oracles(path, s_vec, ms):
 @pytest.mark.parametrize("make", list(_BRANCH_WALKS.values()), ids=list(_BRANCH_WALKS))
 def test_site_index_branches(make):
     path = make()
-    sites, index = site_index(path.positions)
+    sites, sequence, to_index = site_map(path.positions)
+    # to_index maps entry by entry, so it may be applied block by block
+    index = np.concatenate([to_index(sequence[lo:lo + 64])
+                            for lo in range(0, path.n, 64)])
     lo, hi = path.positions.min(), path.positions.max()
     assert np.array_equal(sites[index], path.positions)
     assert np.all(np.diff(sites) > 0)
