@@ -22,7 +22,7 @@ from .walk import (  # noqa: F401
     empirical_sheet,
     occupation_map,
     occupation_quadratic,
-    occupation_statistic,
+    occupation_statistics,
     rescale,
     rescale_factor,
     simulate_walk,

@@ -36,7 +36,7 @@ from .walk import (
     GridSpec,
     empirical_sheet,
     occupation_quadratic,
-    occupation_statistic,
+    occupation_statistics,
     rescale,
     simulate_walk,
 )
@@ -211,12 +211,12 @@ def limit_scale(alpha, config: LimitConfig | None = None) -> float:
 
 def discrete_kernel(index: int, alpha, n: int, master_seed: int, *,
                     grid: GridSpec | None = None, scaled: bool = True,
-                    s_vec=None, functional: str | None = None) -> dict:
+                    s_vec=None, functionals=()) -> dict:
     """One discrete replicate: walk, then scenery, then the requested outputs.
 
     ``sheet`` holds the empirical sheet's values on ``grid`` (rescaled unless
     ``scaled`` is False), ``quadratic`` the occupation cross products at
-    ``s_vec`` and ``functional`` the named occupation functional.
+    ``s_vec`` and ``functionals`` the named occupation functionals, in order.
     """
     path = simulate_walk(n, IncrementLaw.for_alpha(alpha),
                          SeedScheme(master_seed, StreamKind.WALK, index))
@@ -227,8 +227,8 @@ def discrete_kernel(index: int, alpha, n: int, master_seed: int, *,
         out["sheet"] = (rescale(sheet) if scaled else sheet).values
     if s_vec is not None:
         out["quadratic"] = occupation_quadratic(path, np.asarray(s_vec), alpha)
-    if functional is not None:
-        out["functional"] = occupation_statistic(path, functional, alpha)
+    if functionals:
+        out["functionals"] = occupation_statistics(path, functionals, alpha)
     return out
 
 
@@ -379,31 +379,39 @@ def verify_fdd(alpha, points, n: int, replicates: int,
                      terminal_quadratic=drawn.get("quadratic"))
 
 
-def moment_scaling(alpha, n_list, functional: str, replicates: int, *,
-                   master_seed: int = 0, map_fn=map) -> SlopeFit:
-    """Log-log growth of an occupation functional against the walk length.
+def moment_scaling(alpha, n_lists, replicates: int, *, master_seed: int = 0,
+                   map_fn=map) -> dict[str, SlopeFit]:
+    """Log-log growth of occupation functionals against the walk length.
 
-    Means over replicates are fitted for the sum functionals; for
-    ``maxN_scaled`` the fit is over log-medians and the interesting output
-    is the (expected monotone decreasing) sequence ``ys`` itself.
+    ``n_lists`` maps each functional to its lengths; each n of their union
+    is drawn once, and all functionals read the same walks. Sums are fitted
+    over means, ``maxN_scaled`` over log-medians, whose (expected monotone
+    decreasing) sequence ``ys`` is the interesting output.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 4:
-        raise ValueError("n_list must contain at least 4 points")
-    ratios = np.diff(np.log(np.asarray(n_list, dtype=np.float64)))
-    if np.any(ratios <= 0) or np.ptp(ratios) > 0.05 * ratios.mean():
-        raise ValueError("n_list must be geometric")
+    n_lists = {functional: [int(n) for n in n_list]
+               for functional, n_list in n_lists.items()}
+    for n_list in n_lists.values():
+        if len(n_list) < 4:
+            raise ValueError("n_list must contain at least 4 points")
+        ratios = np.diff(np.log(np.asarray(n_list, dtype=np.float64)))
+        if np.any(ratios <= 0) or np.ptp(ratios) > 0.05 * ratios.mean():
+            raise ValueError("n_list must be geometric")
     if replicates < 200:
         raise ValueError("replicates must be >= 200")
-    levels = []
-    for n in n_list:
+    levels = {functional: [] for functional in n_lists}
+    for n in sorted(set().union(*n_lists.values())):
         kernel = partial(discrete_kernel, alpha=alpha, n=n,
                          master_seed=_per_n_seed(master_seed, n),
-                         functional=functional)
-        stats = samples(kernel, replicates, map_fn)["functional"]
-        levels.append(np.median(stats) if functional == "maxN_scaled"
-                      else stats.mean())
-    return fit_loglog(np.asarray(n_list, dtype=np.float64), np.asarray(levels))
+                         functionals=tuple(n_lists))
+        stats = samples(kernel, replicates, map_fn)["functionals"]
+        # each list ascends, so its levels are appended in its own order
+        for (functional, n_list), column in zip(n_lists.items(), stats.T):
+            if n in n_list:
+                levels[functional].append(
+                    np.median(column) if functional == "maxN_scaled" else column.mean())
+    return {functional: fit_loglog(np.asarray(n_list, dtype=np.float64),
+                                   np.asarray(levels[functional]))
+            for functional, n_list in n_lists.items()}
 
 
 def _per_n_seed(master_seed: int, n: int) -> int:

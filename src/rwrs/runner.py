@@ -45,11 +45,6 @@ _SLOPE_CHECKS = {
     "sumN4": (lambda a: 4.0 - 3.0 / a, 0.20),
 }
 
-_MOMENT_FUNCTIONALS = ("sumN2", "sumN3", "sumN4", "maxN_scaled")
-# verify-moments walk lengths when n_list is unset: maxN_scaled, then the sums
-_MAXN_N_LIST = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
-_SUM_N_LIST = (4096, 8192, 16384, 32768, 65536, 131072)
-
 
 @dataclass
 class RunManifest:
@@ -75,7 +70,7 @@ def _replicate_seeds(config: ExperimentConfig) -> list:
     _, streams = _EXPERIMENTS[config.experiment]
     if config.experiment == "verify-moments":
         # the walks of each n are drawn under their own master seed
-        sizes = config.n_list or sorted(set(_MAXN_N_LIST + _SUM_N_LIST))
+        sizes = sorted(set().union(*_moment_n_lists(config).values()))
         masters = [({"n": n}, _per_n_seed(config.master_seed, n)) for n in sizes]
     else:
         masters = [({}, config.master_seed)]
@@ -90,6 +85,13 @@ def _replicate_seeds(config: ExperimentConfig) -> list:
                 entry[kind.value] = f"{key:032x}"
             out.append(entry)
     return out
+
+
+def _moment_n_lists(config: ExperimentConfig) -> dict[str, tuple]:
+    """Walk lengths of each verify-moments functional: ``n_list`` when set."""
+    sums = config.n_list or (4096, 8192, 16384, 32768, 65536, 131072)
+    maxn = config.n_list or (1024, 2048, 4096, 8192, 16384, 32768, 65536)
+    return {"sumN2": sums, "sumN3": sums, "sumN4": sums, "maxN_scaled": maxn}
 
 
 def _limit_config(config: ExperimentConfig) -> LimitConfig:
@@ -331,31 +333,26 @@ def _exp_verify_moments(config, map_fn):
     header = ["alpha", "functional", "n", "level", "slope", "stderr",
               "target", "tol", "passed"]
     rows, summary = [], []
-    for functional in _MOMENT_FUNCTIONALS:
-        n_list = config.n_list or (
-            _MAXN_N_LIST if functional == "maxN_scaled" else _SUM_N_LIST)
-        fit = moment_scaling(alpha, n_list, functional, config.replicates,
-                             master_seed=config.master_seed, map_fn=map_fn)
+    n_lists = _moment_n_lists(config)
+    fits = moment_scaling(alpha, n_lists, config.replicates,
+                          master_seed=config.master_seed, map_fn=map_fn)
+    for functional, n_list in n_lists.items():
+        fit = fits[functional]
+        levels = np.exp(np.asarray(fit.ys))
         if functional == "maxN_scaled":
-            medians = np.exp(np.asarray(fit.ys))
-            ok = bool(np.all(np.diff(medians) < 0.0))
-            for n, level in zip(n_list, medians):
-                rows.append([alpha, functional, n, level, fit.slope,
-                             fit.stderr, "", "", ok])
-            summary.append(_SummaryLine(
-                "moments maxN_scaled", ok,
-                "medians strictly decreasing" if ok else
-                f"medians not decreasing: {medians.tolist()}"))
+            target, tol = "", ""
+            ok = bool(np.all(np.diff(levels) < 0.0))
+            detail = ("medians strictly decreasing" if ok else
+                      f"medians not decreasing: {levels.tolist()}")
         else:
             target_fn, tol = _SLOPE_CHECKS[functional]
             target = target_fn(alpha)
             ok = abs(fit.slope - target) <= tol
-            for n, level in zip(n_list, np.exp(np.asarray(fit.ys))):
-                rows.append([alpha, functional, n, level, fit.slope,
-                             fit.stderr, target, tol, ok])
-            summary.append(_SummaryLine(
-                f"moments {functional}", ok,
-                f"slope={fit.slope:.3f} target={target:.3f} tol={tol}"))
+            detail = f"slope={fit.slope:.3f} target={target:.3f} tol={tol}"
+        summary.append(_SummaryLine(f"moments {functional}", ok, detail))
+        for n, level in zip(n_list, levels):
+            rows.append([alpha, functional, n, level, fit.slope, fit.stderr,
+                         target, tol, ok])
     files = {_base_name(config, n=config.n) + ".csv": rows_to_csv(header, rows)}
     return files, summary
 

@@ -280,21 +280,20 @@ def occupation_quadratic(path: WalkPath, s_vec, alpha) -> np.ndarray:
     return raw * float(path.n) ** (-2.0 + 1.0 / Alpha.of(alpha).value)
 
 
-def occupation_statistic(path: WalkPath, functional: str, alpha=None) -> float:
-    """Scalar occupation functional of the full path."""
+def occupation_statistics(path: WalkPath, functionals, alpha) -> np.ndarray:
+    """Scalar occupation functionals of the full path, from one visit count.
+
+    ``sumN2``, ``sumN3`` and ``sumN4`` are sum_x N_n(x)^p; ``maxN_scaled``
+    is max_x N_n(x) * n^(-1+1/(2 alpha)).
+    """
     counts = occupation_map(path, path.n).counts.astype(np.float64)
-    if functional == "sumN2":
-        return float(np.sum(counts**2))
-    if functional == "sumN3":
-        return float(np.sum(counts**3))
-    if functional == "sumN4":
-        return float(np.sum(counts**4))
-    if functional == "sumN2_sq":
-        return float(np.sum(counts**2) ** 2)
-    if functional == "maxN_scaled":
-        if alpha is None:
-            if path.law is None:
-                raise ValueError("maxN_scaled needs alpha when the path has no law")
-            alpha = path.law.alpha
-        return float(counts.max()) * rescale_factor(alpha, path.n)
-    raise ValueError(f"unknown functional {functional!r}")
+    powers = {"sumN2": 2, "sumN3": 3, "sumN4": 4}
+    out = np.empty(len(functionals))
+    for i, functional in enumerate(functionals):
+        if functional in powers:
+            out[i] = np.sum(counts**powers[functional])
+        elif functional == "maxN_scaled":
+            out[i] = float(counts.max()) * rescale_factor(alpha, path.n)
+        else:
+            raise ValueError(f"unknown functional {functional!r}")
+    return out

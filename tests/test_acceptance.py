@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the whole module takes tens of minutes at the stated sample sizes.
+lines; the whole module takes a few minutes at the stated sample sizes.
 """
 import time
 from functools import partial
@@ -198,13 +198,16 @@ def test_criterion_5_moment_growth():
     slope_specs = [("sumN2", 1.5, 0.10), ("sumN3", 2.0, 0.15), ("sumN4", 2.5, 0.20)]
     n_list = (4096, 8192, 16384, 32768, 65536, 131072)
     details = []
+    fits = moment_scaling(2.0, {functional: n_list for functional, _, _ in slope_specs},
+                          300, master_seed=5100)
     for functional, target, tol in slope_specs:
-        fit = moment_scaling(2.0, n_list, functional, 300, master_seed=5100)
+        fit = fits[functional]
         assert abs(fit.slope - target) <= tol, \
             f"{functional}: slope {fit.slope:.3f} target {target}"
         details.append(f"{functional}={fit.slope:.3f}")
-    med = moment_scaling(2.0, (1024, 2048, 4096, 8192, 16384, 32768, 65536),
-                         "maxN_scaled", 300, master_seed=5200)
+    maxn_list = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
+    med = moment_scaling(2.0, {"maxN_scaled": maxn_list}, 300,
+                         master_seed=5200)["maxN_scaled"]
     medians = np.exp(np.asarray(med.ys))
     assert np.all(np.diff(medians) < 0.0), f"medians {medians}"
     _report(5, ", ".join(details) + "; scaled max occupation medians "

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+import rwrs.walk
 from rwrs.diagnostics import (
     LimitConfig,
     SampleSet,
     _holder_pairs,
+    _per_n_seed,
     bickel_wichura_modulus,
     discrete_kernel,
     fit_loglog,
@@ -39,9 +42,11 @@ from rwrs.walk import (
     EmpiricalSheet,
     GridSpec,
     empirical_sheet,
+    occupation_map,
     occupation_quadratic,
-    occupation_statistic,
+    occupation_statistics,
     rescale,
+    rescale_factor,
     simulate_walk,
 )
 from rwrs.randomness import Alpha, IncrementLaw, SeedScheme, StreamKind, stream_generator
@@ -187,19 +192,49 @@ def test_fit_loglog_degenerate():
 
 def test_moment_scaling_validation():
     with pytest.raises(ValueError):
-        moment_scaling(2.0, [1024, 2048, 4096], "sumN2", 200)  # 3 points
+        moment_scaling(2.0, {"sumN2": [1024, 2048, 4096]}, 200)  # 3 points
     with pytest.raises(ValueError):
-        moment_scaling(2.0, [1024, 2048, 4096, 5000], "sumN2", 200)  # not geometric
+        moment_scaling(2.0, {"sumN2": [1024, 2048, 4096, 5000]}, 200)  # not geometric
     with pytest.raises(ValueError):
-        moment_scaling(2.0, [1024, 2048, 4096, 8192], "sumN2", 100)  # replicates
+        moment_scaling(2.0, {"sumN2": [1024, 2048, 4096, 8192]}, 100)  # replicates
 
 
 def test_moment_scaling_small_run():
-    fit = moment_scaling(2.0, [512, 1024, 2048, 4096], "sumN2", 200, master_seed=3)
-    assert 1.2 < fit.slope < 1.8
-    med = moment_scaling(2.0, [512, 1024, 2048, 4096], "maxN_scaled", 200,
-                         master_seed=3)
-    assert np.all(np.diff(med.ys) < 0)
+    n_list = [512, 1024, 2048, 4096]
+    fits = moment_scaling(2.0, {"sumN2": n_list, "maxN_scaled": n_list}, 200,
+                          master_seed=3)
+    assert 1.2 < fits["sumN2"].slope < 1.8
+    assert np.all(np.diff(fits["maxN_scaled"].ys) < 0)
+
+
+def test_moment_scaling_reads_each_walk_once(monkeypatch):
+    # overlapping lists: both functionals read the walks of n = 256..1024
+    n_lists = {"sumN2": (256, 512, 1024, 2048), "maxN_scaled": (128, 256, 512, 1024)}
+    law = IncrementLaw.for_alpha(1.5)
+    seeds = {n: [SeedScheme(_per_n_seed(17, n), StreamKind.WALK, r) for r in range(200)]
+             for n in (128, 256, 512, 1024, 2048)}
+    levels = {}
+    for n, walk_seeds in seeds.items():
+        counts = [occupation_map(simulate_walk(n, law, seed), n).counts.astype(np.float64)
+                  for seed in walk_seeds]
+        levels["sumN2", n] = np.mean([np.sum(c**2) for c in counts])
+        levels["maxN_scaled", n] = np.median(
+            [float(c.max()) * rescale_factor(1.5, n) for c in counts])
+    calls = Counter()
+
+    def counted(path, m):
+        calls[path.seed] += 1
+        return occupation_map(path, m)
+
+    monkeypatch.setattr(rwrs.walk, "occupation_map", counted)
+    fits = moment_scaling(1.5, n_lists, 200, master_seed=17)
+    assert calls == Counter(seed for walk_seeds in seeds.values() for seed in walk_seeds)
+    for functional, n_list in n_lists.items():
+        direct = fit_loglog(np.asarray(n_list, dtype=np.float64),
+                            np.asarray([levels[functional, n] for n in n_list]))
+        fit = fits[functional]
+        assert (fit.slope, fit.intercept, fit.stderr, fit.ys) == \
+            (direct.slope, direct.intercept, direct.stderr, direct.ys)
 
 
 def test_structure_function_synthetic_slope():
@@ -435,7 +470,7 @@ def test_discrete_kernel_equals_direct_composition():
     grid = GridSpec(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 1.0]))
     s_vec = (0.5, 1.0)
     kernel = partial(discrete_kernel, alpha=1.5, n=512, master_seed=41, grid=grid,
-                     s_vec=s_vec, functional="sumN2")
+                     s_vec=s_vec, functionals=("sumN2",))
     drawn = samples(kernel, 8)
     for index in (0, 3, 7):
         path = simulate_walk(512, law, SeedScheme(41, StreamKind.WALK, index))
@@ -444,11 +479,12 @@ def test_discrete_kernel_equals_direct_composition():
         assert np.array_equal(out["sheet"], rescale(sheet).values)
         assert np.array_equal(out["quadratic"],
                               occupation_quadratic(path, np.asarray(s_vec), 1.5))
-        assert out["functional"] == occupation_statistic(path, "sumN2", 1.5)
+        assert np.array_equal(out["functionals"],
+                              occupation_statistics(path, ("sumN2",), 1.5))
         raw = discrete_kernel(index, 1.5, 512, 41, grid=grid, scaled=False)
         assert raw.keys() == {"sheet"}
         assert np.array_equal(raw["sheet"], sheet.values)
-        for key in ("sheet", "quadratic", "functional"):
+        for key in ("sheet", "quadratic", "functionals"):
             assert np.array_equal(drawn[key][index], out[key])
 
 

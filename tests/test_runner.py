@@ -13,7 +13,7 @@ import rwrs.diagnostics
 import rwrs.runner
 from rwrs.cli import main
 from rwrs.config import EXPERIMENTS, config_hash, parse_config
-from rwrs.diagnostics import THETA_COMBINATIONS
+from rwrs.diagnostics import THETA_COMBINATIONS, _per_n_seed
 from rwrs.io import parse_sheet_csv
 from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind, derive_site_value
 from rwrs.runner import run_experiment
@@ -110,8 +110,8 @@ def _assert_workers_identical(tmp_path, text):
             assert (out["w1"] / f).read_bytes() == (out["pool"] / f).read_bytes()
 
 
-@pytest.mark.parametrize("text", [FDD_SMALL, HOLDER_SMALL],
-                         ids=["verify-fdd", "verify-holder"])
+@pytest.mark.parametrize("text", [FDD_SMALL, HOLDER_SMALL, MOMENTS_SMALL],
+                         ids=["verify-fdd", "verify-holder", "verify-moments"])
 def test_verify_experiment_workers_identical(tmp_path, text):
     _assert_workers_identical(tmp_path, text)
 
@@ -127,6 +127,7 @@ _STABLE_SMALL = {
     "modulus-sweep": ("experiment: modulus-sweep\nalpha: 1.5\nn: 512\nreplicates: 6\n"
                       "s_grid: 0, 0.25, 0.5, 0.75, 1\nt_grid: 0, 0.25, 0.5, 0.75, 1\n"
                       "deltas: 0.25, 0.5\nmaster_seed: 3\n"),
+    "verify-moments": MOMENTS_SMALL.replace("alpha: 2.0", "alpha: 1.5"),
 }
 
 
@@ -138,7 +139,8 @@ def test_stable_experiment_workers_identical(tmp_path, text):
 @pytest.mark.parametrize("text, kinds", [
     (FDD_SMALL, {StreamKind.WALK, StreamKind.LEVY}),
     (HOLDER_SMALL, {StreamKind.LEVY}),
-], ids=["verify-fdd", "verify-holder"])
+    (MOMENTS_SMALL, {StreamKind.WALK}),
+], ids=["verify-fdd", "verify-holder", "verify-moments"])
 def test_each_path_is_simulated_once(tmp_path, monkeypatch, text, kinds):
     calls = Counter()
 
@@ -152,13 +154,19 @@ def test_each_path_is_simulated_once(tmp_path, monkeypatch, text, kinds):
         monkeypatch.setattr(rwrs.diagnostics, name, counted)
 
     for name in ("simulate_walk", "simulate_levy_path"):
-        count(name, lambda *args: (args[-1].stream_kind, args[-1].replicate_index))
+        count(name, lambda *args: (args[-1].stream_kind, args[-1].master_seed,
+                                   args[-1].replicate_index))
     # each Levy path is binned into one local-time field
     count("local_time_field",
           lambda path, *_: ("local_time_field", path.seed.replicate_index))
     cfg, _ = _run(text, tmp_path)
-    expected = Counter({(kind, r): 1 for kind in kinds for r in range(cfg.replicates)})
-    expected.update(("local_time_field", r) for r in range(cfg.replicates))
+    # verify-moments draws the walks of each n under their own master seed
+    masters = ([_per_n_seed(cfg.master_seed, n) for n in cfg.n_list]
+               if cfg.experiment == "verify-moments" else [cfg.master_seed])
+    expected = Counter({(kind, master, r): 1 for kind in kinds for master in masters
+                        for r in range(cfg.replicates)})
+    if StreamKind.LEVY in kinds:
+        expected.update(("local_time_field", r) for r in range(cfg.replicates))
     assert calls == expected
 
 

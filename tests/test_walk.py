@@ -11,7 +11,7 @@ from rwrs.walk import (
     empirical_sheet,
     occupation_map,
     occupation_quadratic,
-    occupation_statistic,
+    occupation_statistics,
     prefix_counts,
     rescale,
     rescale_factor,
@@ -401,14 +401,15 @@ def test_site_kernels_blocked_match_oracles(n):
 def test_occupation_statistics_match_counts():
     p = simulate_walk(300, LAW, _walk_seed(2))
     counts = occupation_map(p, 300).counts.astype(float)
-    assert occupation_statistic(p, "sumN2") == pytest.approx(np.sum(counts**2))
-    assert occupation_statistic(p, "sumN3") == pytest.approx(np.sum(counts**3))
-    assert occupation_statistic(p, "sumN4") == pytest.approx(np.sum(counts**4))
-    assert occupation_statistic(p, "sumN2_sq") == pytest.approx(np.sum(counts**2) ** 2)
+    sum2, sum3, sum4, max_scaled = occupation_statistics(
+        p, ("sumN2", "sumN3", "sumN4", "maxN_scaled"), 2.0)
+    assert sum2 == pytest.approx(np.sum(counts**2))
+    assert sum3 == pytest.approx(np.sum(counts**3))
+    assert sum4 == pytest.approx(np.sum(counts**4))
     expected_max = counts.max() * 300.0**-0.75
-    assert occupation_statistic(p, "maxN_scaled", 2.0) == pytest.approx(expected_max)
+    assert max_scaled == pytest.approx(expected_max)
     with pytest.raises(ValueError):
-        occupation_statistic(p, "nope")
+        occupation_statistics(p, ("nope",), 2.0)
 
 
 def test_unit_drift_walk_sum_of_squares():
@@ -420,7 +421,7 @@ def test_unit_drift_walk_sum_of_squares():
     stats = []
     for n in ns:
         p = walk_from_steps(np.ones(n, dtype=np.int64))
-        stat = occupation_statistic(p, "sumN2")
+        (stat,) = occupation_statistics(p, ("sumN2",), 2.0)
         assert stat == n
         stats.append(stat)
     assert fit_loglog(np.array(ns, float), np.array(stats, float)).slope == \
