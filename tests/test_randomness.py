@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from rwrs.randomness import (
     LawKind,
     SeedScheme,
     StreamKind,
+    _zeta,
     derive_site_value,
     sample_increments,
     stable_standard_sample,
@@ -144,6 +146,21 @@ def test_power_tail_normalization():
         law = IncrementLaw.power_tail(alpha)
         assert abs(law.probability_total() - 1.0) < 1e-12
         assert abs(law.p_zero - 0.6) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 11.0, 1e6 + 1])
+def test_zeta_matches_scipy(q):
+    # s = alpha + 1 for alpha in (1, 2]; q > 1 is tail_probability's k + 1
+    s_values = np.concatenate([[2.05, 2.2, 2.5, 2.7, 2.95, 3.0],
+                               np.random.default_rng(17).uniform(2.0, 3.0, 200)])
+    for s in s_values:
+        expected = float(zeta(s, q))
+        assert abs(_zeta(s, q) - expected) <= 1.5e-15 * expected, s
+
+
+def test_zeta_closed_forms():
+    for s, exact in ((2.0, math.pi**2 / 6), (4.0, math.pi**4 / 90)):
+        assert abs(_zeta(s) - exact) <= 2 * math.ulp(exact)
 
 
 def test_power_tail_too_heavy_rejected():

@@ -2,6 +2,8 @@ import ast
 import csv
 import io
 import json
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict
 from pathlib import Path
@@ -380,3 +382,30 @@ def test_output_dir_env_default(tmp_path, monkeypatch):
     manifest = run_experiment(cfg)
     assert (tmp_path / "summary.txt").exists()
     assert manifest.status == "complete"
+
+
+# Runs in a child process: with sys.modules["scipy"] = None every scipy
+# import raises ImportError, so any runtime use of scipy fails the run.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import rwrs, rwrs.cli, rwrs.runner
+out = sys.argv[2]
+codes = [
+    rwrs.cli.main(["--experiment=verify-moments", "--alpha=1.5",
+                   "--replicates=200", "--n_list=256,512,1024,2048",
+                   "--output_dir=" + out]),
+    rwrs.cli.main(["--experiment=simulate-limit", "--alpha=1.5", "--K=1024",
+                   "--cells=32", "--replicates=1",
+                   "--output_dir=" + out]),
+]
+assert codes == [0, 0], codes
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = Path(rwrs.runner.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(src), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
