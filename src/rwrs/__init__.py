@@ -29,12 +29,10 @@ from .walk import (  # noqa: F401
     walk_from_steps,
 )
 from .limit import (  # noqa: F401
-    KieferIncrements,
     LevyPath,
     LimitSheet,
     LocalTimeField,
     default_cell_width,
-    kiefer_increments,
     levy_from_values,
     limit_sheet,
     local_time_field,

@@ -7,6 +7,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .limit import MAX_STEPS
 from .randomness import Alpha
 from .walk import GridSpec
 
@@ -148,6 +149,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("workers must be >= 1")
     if config.K < 1:
         raise ConfigError("K must be >= 1")
+    if config.K > MAX_STEPS:
+        raise ConfigError(f"K must be <= {MAX_STEPS}: the local-time Gram sums count "
+                          "products up to K^2, exact in float64 only below 2^53")
     if config.cells < 1:
         raise ConfigError("cells must be >= 1")
     if config.master_seed < 0:

@@ -8,7 +8,7 @@ pool's ``map``) and produces the same output for any degree of parallelism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .limit import (
     LimitSheet,
     default_cell_width,
-    kiefer_increments,
     limit_sheet,
     local_time_field,
     local_time_quadratic,
@@ -237,28 +236,22 @@ def limit_kernel(index: int, alpha, scale: float, config: LimitConfig,
     """One limit replicate: Levy path, then local time, then the requested outputs.
 
     ``sheets`` holds one limit sheet per ``(s_cuts, t_grid)`` pair in
-    ``grids``, all driven by the same path and Kiefer stream; ``quadratic``
-    holds the local-time cross products at ``s_vec``. The path is binned
-    once, at every requested cut, and each output reads its rows of that
-    one local-time field.
+    ``grids``, each drawn from the start of the replicate's Kiefer stream;
+    ``quadratic`` holds the local-time cross products at ``s_vec``. The path
+    is binned once, at every requested cut, and every output reads its rows
+    of that one field's Gram.
     """
     path = simulate_levy_path(alpha, scale, config.steps,
                               SeedScheme(master_seed, StreamKind.LEVY, index))
     cuts = [np.asarray(s_cuts, dtype=np.float64) for s_cuts, _ in grids]
     if s_vec is not None:
-        s_vec = np.asarray(s_vec, dtype=np.float64)
-        cuts.append(s_vec)
-    union = np.unique(np.concatenate(cuts))
-    lt = local_time_field(path, default_cell_width(path, config.cells), union)
+        cuts.append(np.asarray(s_vec, dtype=np.float64))
+    lt = local_time_field(path, default_cell_width(path, config.cells),
+                          np.unique(np.concatenate(cuts)))
     kiefer_seed = SeedScheme(master_seed, StreamKind.KIEFER, index)
-    sheets = []
-    for s_cuts, (_, t_grid) in zip(cuts, grids):
-        # the grid's own rows, as a field binned at s_cuts alone would hold them
-        rows = replace(lt, s_cuts=s_cuts,
-                       values=lt.values[np.searchsorted(union, s_cuts)])
-        kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid), kiefer_seed)
-        sheets.append(limit_sheet(rows, kf))
-    out = {"sheets": tuple(sheets)} if grids else {}
+    sheets = tuple(limit_sheet(lt, t_grid, kiefer_seed, s_cuts=s_cuts)
+                   for s_cuts, (_, t_grid) in zip(cuts, grids))
+    out = {"sheets": sheets} if grids else {}
     if s_vec is not None:
         out["quadratic"] = local_time_quadratic(lt, s_vec)
     return out

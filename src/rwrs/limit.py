@@ -1,14 +1,19 @@
-"""Limit side of the convergence: stable paths, local time, Gaussian sheet integrals.
+"""Limit side of the convergence: stable paths, local time, the limit sheet.
 
-The limit sheet is assembled cell by cell: the box-counting local time of a
-simulated stable path is paired with independent Brownian-bridge increments
-per spatial cell, and the stochastic integral becomes a finite sum over
-cells. Conditional on the path this reproduces the exact sheet covariance
-in the small-cell limit at linear cost in the number of cells.
+The limit sheet W(s, t) = int L_s(x) dK(x, t) integrates the local time of a
+stable path against an independent Kiefer sheet K. Given the path, W is
+centered Gaussian with covariance (min(t,t') - t t') R(s,s'), R the Gram
+int L_s L_s' dx of the local time, so on k s-cuts it is drawn as A B, with
+A A^T = R and k Brownian bridges in B. R is an exact integer product of the
+box counts, scaled once, and A B comes from ``einsum``, which uses no BLAS,
+so neither depends on the BLAS thread count. A comes from LAPACK's ``eigh``,
+whose bits matched at 1 and 2 OpenBLAS threads on up to 193 s-cuts but not
+on 225 or more, where LAPACK hands larger blocks to threaded BLAS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +25,10 @@ from .randomness import (
     stream_generator,
 )
 from .walk import _validated_axis, prefix_counts
+
+# Largest path length whose local-time Gram is exact in float64: every product
+# and partial sum of its count product is an integer of at most steps^2 < 2^53.
+MAX_STEPS = 1 << 26
 
 
 @dataclass(eq=False)
@@ -42,12 +51,16 @@ class LevyPath:
 
 @dataclass(eq=False)
 class LocalTimeField:
-    """Box-counting local time on uniform spatial cells [x_j, x_j + dx)."""
+    """Box-counting local time on uniform spatial cells [x_j, x_j + dx).
+
+    ``counts[i, j]`` is the number of grid times u_k, 1 <= k <= cut_i, with
+    the path in cell j; the local time is ``counts / (steps * dx)``.
+    """
 
     x_left: np.ndarray
     dx: float
     s_cuts: np.ndarray
-    values: np.ndarray  # shape (len(s_cuts), cells)
+    counts: np.ndarray  # int64, shape (len(s_cuts), cells)
     steps: int
     alpha: Alpha | None = None
     scale: float | None = None
@@ -57,22 +70,22 @@ class LocalTimeField:
     def cells(self) -> int:
         return self.x_left.size
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.counts * (1.0 / (self.steps * self.dx))
 
-@dataclass(eq=False)
-class KieferIncrements:
-    """Per-cell bridge increments of the two-sided Gaussian sheet.
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """R[i, j] = sum_x L[s_i][x] L[s_j][x] dx over every pair of cuts.
 
-    Cells are independent; within a cell the column over t is a Brownian
-    bridge scaled by sqrt(dx), so Cov(dK[j][t], dK[j][t']) =
-    dx * (min(t,t') - t t'). Cells left of zero draw from one stream,
-    cells right of zero from another.
-    """
-
-    x_left: np.ndarray
-    dx: float
-    t_grid: np.ndarray
-    values: np.ndarray  # shape (cells, len(t_grid))
-    seed: SeedScheme | None = None
+        The counts' product is exact (see ``MAX_STEPS``), in any summation
+        order; the one rounding is the division by steps^2 * dx.
+        """
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"the local-time Gram is exact only for at most "
+                             f"{MAX_STEPS} steps")
+        c = self.counts.astype(np.float64)
+        return (c @ c.T) / (float(self.steps) ** 2 * self.dx)
 
 
 @dataclass(eq=False)
@@ -136,13 +149,12 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     cell j, normalized by steps * dx so that sum_j L[s][x_j] dx equals
     cut / steps exactly; s is cut by the rule of :func:`rwrs.walk.prefix_counts`.
 
-    A sample v falls in cell ``int((v - x_lo) / dx)``, computed per block
-    of :func:`rwrs.walk.prefix_counts`: the same subtraction, division and
-    truncation as on the whole path, so the bins do not depend on the
-    blocking. The cells pad the path's range by one ``dx`` on each side,
-    so every bin lies inside them without clipping (rounding may put the
-    path's minimum in the first cell); a bin outside would make the count
-    raise.
+    A sample v falls in cell ``1 + int((v - lo) / dx)``, lo the path's
+    minimum, computed per block of :func:`rwrs.walk.prefix_counts`: the same
+    subtraction, division and truncation as on the whole path, so the bins
+    do not depend on the blocking. The minimum lands in cell 1 and, rounding
+    being monotone, no sample lands past the maximum's cell. One empty cell
+    pads each side.
     """
     if dx <= 0.0:
         raise ValueError("dx must be > 0")
@@ -150,73 +162,57 @@ def local_time_field(path: LevyPath, dx: float, s_cuts) -> LocalTimeField:
     if s_cuts.ndim != 1 or s_cuts.size == 0:
         raise ValueError("s_cuts must be a nonempty 1-d sequence")
 
-    steps = path.steps
-    x_lo = float(path.values.min()) - dx
-    x_hi = float(path.values.max()) + dx
-    cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
-    x_left = x_lo + dx * np.arange(cells)
-    _, counts = prefix_counts(path.values[1:], cells, s_cuts,
-                              lambda v: ((v - x_lo) / dx).astype(np.int64))
+    lo = float(path.values.min())
+    occupied = int((float(path.values.max()) - lo) / dx) + 1
+    _, counts = prefix_counts(path.values[1:], occupied, s_cuts,
+                              lambda v: ((v - lo) / dx).astype(np.int64))
     return LocalTimeField(
-        x_left=x_left, dx=dx, s_cuts=s_cuts, values=counts * (1.0 / (steps * dx)),
-        steps=steps, alpha=path.alpha, scale=path.scale, seed=path.seed)
+        x_left=(lo - dx) + dx * np.arange(occupied + 2), dx=dx, s_cuts=s_cuts,
+        counts=np.pad(counts, ((0, 0), (1, 1))), steps=path.steps,
+        alpha=path.alpha, scale=path.scale, seed=path.seed)
 
 
-def kiefer_increments(x_left, dx: float, t_grid, seed: SeedScheme,
-                      mirror: bool = False) -> KieferIncrements:
-    """Independent bridge increments for each spatial cell.
+def _bridges(rng: np.random.Generator, count: int, t_grid: np.ndarray) -> np.ndarray:
+    """``count`` independent Brownian bridges on ``t_grid``, one per row.
 
-    Cells whose midpoint is negative consume one stream, nonnegative cells
-    the other; ``mirror=True`` swaps the two, which together with negating
-    the driving path should leave the sheet distribution unchanged.
+    Each vanishes exactly at t = 0 and t = 1.
     """
-    x_left = np.asarray(x_left, dtype=np.float64)
-    if dx <= 0.0:
-        raise ValueError("dx must be > 0")
+    steps = rng.standard_normal((count, t_grid.size - 1)) * np.sqrt(np.diff(t_grid))
+    walk = np.concatenate((np.zeros((count, 1)), np.cumsum(steps, axis=1)), axis=1)
+    return walk - np.outer(walk[:, -1], t_grid)
+
+
+def limit_sheet(lt: LocalTimeField, t_grid, seed: SeedScheme,
+                s_cuts=None) -> LimitSheet:
+    """The limit sheet on ``s_cuts`` x ``t_grid``, given the path of ``lt``.
+
+    ``s_cuts`` (all of ``lt``'s cuts by default) are looked up as in
+    :func:`local_time_quadratic`. The sheet is A B, where A = U sqrt(w) from
+    ``eigh`` of the cuts' Gram and B holds one bridge per cut with nonzero
+    local time, drawn from the start of ``seed``'s stream. Cuts without local
+    time (s = 0) give exact zero rows. ``eigh`` rather than Cholesky: the
+    Gram may be singular, and OpenBLAS threads ``potrf``, whose bits then
+    follow the thread count.
+    """
     t_grid = _validated_axis(np.asarray(t_grid, dtype=np.float64), "t")
     if seed.stream_kind is not StreamKind.KIEFER:
-        raise ValueError("kiefer increments require a seed with stream_kind=KIEFER")
-
-    mids = x_left + dx / 2.0
-    negative = mids < 0.0
-    salts = (2, 1) if mirror else (1, 2)
-    gen_pos = stream_generator(seed, salt=salts[0])
-    gen_neg = stream_generator(seed, salt=salts[1])
-
-    dt = np.diff(t_grid)
-    values = np.empty((x_left.size, t_grid.size), dtype=np.float64)
-    for gen, mask in ((gen_pos, ~negative), (gen_neg, negative)):
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        steps = gen.standard_normal((count, dt.size)) * np.sqrt(dt)
-        walk = np.concatenate(
-            (np.zeros((count, 1)), np.cumsum(steps, axis=1)), axis=1)
-        bridge = walk - np.outer(walk[:, -1], t_grid)
-        values[mask] = np.sqrt(dx) * bridge
-    return KieferIncrements(x_left=x_left, dx=dx, t_grid=t_grid,
-                            values=values, seed=seed)
-
-
-def _check_shared_grid(lt: LocalTimeField, kf: KieferIncrements) -> None:
-    if lt.cells != kf.x_left.size or not np.allclose(lt.x_left, kf.x_left) \
-            or not np.isclose(lt.dx, kf.dx):
-        raise ValueError("local-time field and Kiefer increments use different x-grids")
-
-
-def limit_sheet(lt: LocalTimeField, kf: KieferIncrements) -> LimitSheet:
-    """Integrate the local-time field against the per-cell increments."""
-    _check_shared_grid(lt, kf)
-    values = lt.values @ kf.values
+        raise ValueError("the limit sheet requires a seed with stream_kind=KIEFER")
+    s_cuts = lt.s_cuts if s_cuts is None else np.asarray(s_cuts, dtype=np.float64)
+    gram = local_time_quadratic(lt, s_cuts)
+    live = np.flatnonzero(np.diag(gram) > 0.0)
+    w, u = np.linalg.eigh(gram[np.ix_(live, live)])
+    values = np.zeros((s_cuts.size, t_grid.size))
+    values[live] = np.einsum("ij,jk->ik", u * np.sqrt(np.maximum(w, 0.0)),
+                             _bridges(stream_generator(seed), live.size, t_grid))
     provenance = {
         "alpha": lt.alpha.value if lt.alpha else None,
         "scale": lt.scale,
         "steps": lt.steps,
         "dx": lt.dx,
         "levy_seed": _seed_tuple(lt.seed),
-        "kiefer_seed": _seed_tuple(kf.seed),
+        "kiefer_seed": _seed_tuple(seed),
     }
-    return LimitSheet(values=values, s_cuts=lt.s_cuts, t_grid=kf.t_grid,
+    return LimitSheet(values=values, s_cuts=s_cuts, t_grid=t_grid,
                       provenance=provenance)
 
 
@@ -227,12 +223,15 @@ def _seed_tuple(seed: SeedScheme | None):
 
 
 def local_time_quadratic(lt: LocalTimeField, s_vec) -> np.ndarray:
-    """Cross products R[i, j] = sum_k L[s_i][x_k] L[s_j][x_k] dx."""
+    """Cross products R[i, j] = sum_k L[s_i][x_k] L[s_j][x_k] dx: rows of the Gram.
+
+    Each s takes the first cut of ``lt`` within 1e-12.
+    """
     s_vec = np.asarray(s_vec, dtype=np.float64)
     matches = np.isclose(lt.s_cuts[None, :], s_vec[:, None], atol=1e-12)
     found = matches.any(axis=1)
     if not found.all():
         s = s_vec[np.argmin(found)]
         raise ValueError(f"s-cut {s} not present in the local-time field")
-    sel = lt.values[np.argmax(matches, axis=1)]
-    return (sel @ sel.T) * lt.dx
+    rows = np.argmax(matches, axis=1)
+    return lt.gram[np.ix_(rows, rows)]

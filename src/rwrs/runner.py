@@ -353,7 +353,8 @@ def _exp_verify_moments(config, map_fn):
         for n, level in zip(n_list, levels):
             rows.append([alpha, functional, n, level, fit.slope, fit.stderr,
                          target, tol, ok])
-    files = {_base_name(config, n=config.n) + ".csv": rows_to_csv(header, rows)}
+    longest = max(map(max, n_lists.values()))  # the experiment never reads n
+    files = {_base_name(config, n=longest) + ".csv": rows_to_csv(header, rows)}
     return files, summary
 
 

@@ -26,7 +26,6 @@ from rwrs.diagnostics import (
 )
 from rwrs.limit import (
     default_cell_width,
-    kiefer_increments,
     limit_sheet,
     local_time_field,
     simulate_levy_path,
@@ -75,15 +74,18 @@ def test_criterion_1_exact_identities():
         assert np.all(sheet.values[:, 0] == 0.0)
         assert np.all(sheet.values[:, -1] == 0.0)
 
-    # Kiefer increments vanish at t in {0, 1}
-    x_left = np.arange(-8, 8) * 0.25
+    # limit sheets vanish on s = 0 and at t in {0, 1}
     for r in range(20):
-        kf = kiefer_increments(x_left, 0.25, np.linspace(0.0, 1.0, 9),
-                               SeedScheme(1300, StreamKind.KIEFER, r))
-        assert np.all(kf.values[:, 0] == 0.0)
-        assert np.all(kf.values[:, -1] == 0.0)
+        path = simulate_levy_path(2.0, 0.8, 1024, SeedScheme(1300, StreamKind.LEVY, r))
+        lt = local_time_field(path, default_cell_width(path, 32), [0.0, 0.5, 1.0])
+        sheet = limit_sheet(lt, np.linspace(0.0, 1.0, 9),
+                            SeedScheme(1300, StreamKind.KIEFER, r))
+        assert np.all(sheet.values[0] == 0.0)
+        assert np.all(sheet.values[:, 0] == 0.0)
+        assert np.all(sheet.values[:, -1] == 0.0)
 
-    # occupation identity of the box-counting local time
+    # occupation identity of the box-counting local time, whose first and
+    # last cells are empty padding
     steps = 2048
     rng = np.random.default_rng(14)
     for r in range(20):
@@ -92,12 +94,14 @@ def test_criterion_1_exact_identities():
                                   SeedScheme(1400, StreamKind.LEVY, r))
         cuts = np.sort(rng.uniform(0.0, 1.0, 3))
         lt = local_time_field(path, default_cell_width(path, 100), cuts)
+        assert np.all(lt.counts[:, 0] == 0) and np.all(lt.counts[:, -1] == 0)
         for i, s in enumerate(cuts):
+            assert lt.counts[i].sum() == np.floor(s * steps + 1e-9)
             assert abs(float(np.sum(lt.values[i]) * lt.dx) - s) <= 1.0 / steps
 
     elapsed = time.time() - start
     assert elapsed < 10.0
-    _report(1, f"occupation totals, sheet/kiefer boundary zeros, "
+    _report(1, f"occupation totals, empirical/limit sheet boundary zeros, "
                f"occupation identity ({elapsed:.1f}s)")
 
 
@@ -109,9 +113,7 @@ def test_criterion_2_ito_isometry():
     t_grid = np.array([0.0, 0.25, 0.5, 1.0])
     draws = np.empty((10_000, 2, 4))
     for r in range(10_000):
-        kf = kiefer_increments(lt.x_left, lt.dx, t_grid,
-                               SeedScheme(2100, StreamKind.KIEFER, r))
-        draws[r] = limit_sheet(lt, kf).values
+        draws[r] = limit_sheet(lt, t_grid, SeedScheme(2100, StreamKind.KIEFER, r)).values
     checks = []
     for (i, j, s, t) in [(0, 2, 0.5, 0.5), (1, 1, 1.0, 0.25), (1, 2, 1.0, 0.5)]:
         predicted = t * (1 - t) * float(np.sum(lt.values[i] ** 2) * lt.dx)

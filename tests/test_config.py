@@ -95,7 +95,7 @@ _CONFIGS = st.builds(
     replicates=_POSITIVE,
     s_grid=_GRID,
     t_grid=_GRID,
-    K=_POSITIVE,
+    K=st.integers(1, 1 << 26),
     cells=_POSITIVE,
     master_seed=st.integers(0, 2**64 - 1),
     workers=st.integers(1, 64),
@@ -159,6 +159,13 @@ def test_validation_bounds():
                 "permutations: 100", "p_value_min: 2.0"):
         with pytest.raises(ConfigError):
             parse_config(base + bad + "\n")
+
+
+def test_K_bound_keeps_the_local_time_gram_exact():
+    # the Gram sums count products up to K^2, exact in float64 below 2^53
+    assert parse_config("experiment: simulate-limit\nK: 67108864\n").K == 1 << 26
+    with pytest.raises(ConfigError, match=r"K must be <= 67108864: .*2\^53"):
+        parse_config("experiment: simulate-limit\nK: 67108865\n")
 
 
 def test_grid_validation():

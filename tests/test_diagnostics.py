@@ -32,7 +32,6 @@ from rwrs.diagnostics import (
 from rwrs.limit import (
     LimitSheet,
     default_cell_width,
-    kiefer_increments,
     limit_sheet,
     local_time_field,
     local_time_quadratic,
@@ -504,9 +503,8 @@ def test_limit_kernel_equals_direct_composition():
             out = kernel(index)
             for g, (s_cuts, t_grid) in enumerate(grids):
                 lt = local_time_field(path, dx, np.asarray(s_cuts))
-                kf = kiefer_increments(lt.x_left, lt.dx, np.asarray(t_grid),
+                expected = limit_sheet(lt, np.asarray(t_grid),
                                        SeedScheme(43, StreamKind.KIEFER, index))
-                expected = limit_sheet(lt, kf)
                 for sheet in (out["sheets"][g], drawn["sheets"][g][index]):
                     assert np.array_equal(sheet.values, expected.values)
                     assert sheet.provenance == expected.provenance

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwrs.io import envelope_json, parse_sheet_csv, rows_to_csv, sheet_to_csv
-from rwrs.limit import default_cell_width, kiefer_increments, limit_sheet, local_time_field, simulate_levy_path
+from rwrs.limit import default_cell_width, limit_sheet, local_time_field, simulate_levy_path
 from rwrs.randomness import IncrementLaw, SeedScheme, StreamKind
 from rwrs.walk import GridSpec, empirical_sheet, simulate_walk
 
@@ -52,9 +52,8 @@ def test_empirical_envelope_fields():
 def test_limit_envelope_fields():
     p = simulate_levy_path(2.0, 0.7, 1024, SeedScheme(9, StreamKind.LEVY, 2))
     lt = local_time_field(p, default_cell_width(p, 32), [1.0])
-    kf = kiefer_increments(lt.x_left, lt.dx, np.array([0.0, 0.5, 1.0]),
-                           SeedScheme(9, StreamKind.KIEFER, 2))
-    env = json.loads(envelope_json(limit_sheet(lt, kf)))
+    env = json.loads(envelope_json(limit_sheet(lt, np.array([0.0, 0.5, 1.0]),
+                                               SeedScheme(9, StreamKind.KIEFER, 2))))
     assert env["kind"] == "limit"
     prov = env["provenance"]
     assert prov["alpha"] == 2.0

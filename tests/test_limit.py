@@ -6,8 +6,8 @@ from scipy import stats
 
 from rwrs.limit import (
     LocalTimeField,
+    _bridges,
     default_cell_width,
-    kiefer_increments,
     levy_from_values,
     limit_sheet,
     local_time_field,
@@ -117,12 +117,11 @@ def test_local_time_validation():
 
 def _whole_array_local_time(path, dx, s_cuts):
     # the binning formula applied to the whole path at once
-    x_lo = float(path.values.min()) - dx
-    x_hi = float(path.values.max()) + dx
-    cells = int(np.ceil((x_hi - x_lo) / dx)) + 1
-    offsets = path.values[1:] - x_lo
+    lo = float(path.values.min())
+    cells = int((float(path.values.max()) - lo) / dx) + 3
+    offsets = path.values[1:] - lo
     offsets /= dx
-    bins = offsets.astype(np.int64)
+    bins = offsets.astype(np.int64) + 1
     cuts = np.floor(np.asarray(s_cuts) * path.steps + 1e-9).astype(np.int64)
     counts = np.array([np.bincount(bins[:cut], minlength=cells) for cut in cuts])
     return counts * (1.0 / (path.steps * dx))
@@ -172,66 +171,65 @@ def _jump_path(jump):
     lambda r: _jump_path(-1e6 * (r + 1)),
 ], ids=["alpha2", "alpha1.5", "alpha1.2", "jump-up", "jump-down"])
 def test_local_time_bins_stay_inside_padded_cells(make):
-    # the last cell is padding only; the first can hold only samples at the
-    # path's minimum, whose offset from x_lo = min - dx may round below dx
+    # the first and the last cell are padding only, at every cut; the
+    # minimum of the path lands in the cell right after the first
     for r in range(20):
         path = make(r)
-        samples = path.values[1:]
         for cells in (16, 512):
             dx = default_cell_width(path, cells)
             lt = local_time_field(path, dx, [0.5, 1.0])
-            assert np.all(lt.values[:, -1] == 0.0)
-            first = int(np.rint(lt.values[-1, 0] * path.steps * dx))
-            assert first <= int(np.sum(samples <= samples.min() + 1e-9 * dx))
+            assert np.all(lt.counts[:, 0] == 0) and np.all(lt.counts[:, -1] == 0)
+            assert lt.x_left[1] == pytest.approx(path.values.min(), rel=1e-12, abs=1e-12)
+            assert lt.counts.sum(axis=1).tolist() == [path.steps // 2, path.steps]
             assert lt.values[-1].sum() * dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kiefer_bridge_endpoints():
-    x_left = np.arange(-5, 5) * 0.25
-    kf = kiefer_increments(x_left, 0.25, np.linspace(0, 1, 9), _kiefer_seed())
-    assert np.all(kf.values[:, 0] == 0.0)
-    assert np.all(kf.values[:, -1] == 0.0)
+    # every bridge of the sheet, and so the sheet, vanishes at t in {0, 1}
+    rng = stream_generator(_kiefer_seed())
+    bridges = _bridges(rng, 10, np.linspace(0, 1, 9))
+    assert np.all(bridges[:, 0] == 0.0)
+    assert np.all(bridges[:, -1] == 0.0)
 
 
 def test_kiefer_covariance():
-    # cells are iid, so pool cells and draws; Var(dK(t)) = dx * t(1-t)
-    x_left = np.arange(-16, 16) * 0.5
+    # bridges are iid, so pool rows and draws; Var(B(t)) = t(1-t)
     t_grid = np.array([0.0, 0.25, 0.5, 1.0])
-    rows = [kiefer_increments(x_left, 0.5, t_grid, _kiefer_seed(r)).values
+    rows = [_bridges(stream_generator(_kiefer_seed(r)), 32, t_grid)
             for r in range(400)]
     stacked = np.concatenate(rows, axis=0)
     var_half = stacked[:, 2].var()
-    assert abs(var_half - 0.5 * 0.25) < 0.05 * 0.5 * 0.25
+    assert abs(var_half - 0.25) < 0.05 * 0.25
     var_quarter = stacked[:, 1].var()
-    assert abs(var_quarter - 0.5 * 0.25 * 0.75) < 0.05 * 0.5 * 0.25 * 0.75
-    # distinct cells are independent
+    assert abs(var_quarter - 0.25 * 0.75) < 0.05 * 0.25 * 0.75
+    # distinct rows are independent
     corr = np.corrcoef(np.array([r[3, 2] for r in rows]),
                        np.array([r[4, 2] for r in rows]))[0, 1]
     assert abs(corr) < 0.15
 
 
 def test_kiefer_validation():
-    x_left = np.array([0.0, 0.1])
+    p = simulate_levy_path(2.0, 1.0, 1000, _levy_seed())
+    lt = local_time_field(p, default_cell_width(p, 16), [0.5, 1.0])
     with pytest.raises(ValueError):
-        kiefer_increments(x_left, 0.1, np.array([0.0, 0.5]), _kiefer_seed())
+        limit_sheet(lt, np.array([0.0, 0.5]), _kiefer_seed())
     with pytest.raises(ValueError):
-        kiefer_increments(x_left, 0.1, np.array([0.2, 1.0]), _kiefer_seed())
+        limit_sheet(lt, np.array([0.2, 1.0]), _kiefer_seed())
     with pytest.raises(ValueError):
-        kiefer_increments(x_left, 0.1, np.linspace(0, 1, 5), _levy_seed())
+        limit_sheet(lt, np.linspace(0, 1, 5), _levy_seed())
 
 
 def test_limit_sheet_boundaries_and_mismatch():
     p = simulate_levy_path(2.0, 0.7, 2048, _levy_seed(4))
     lt = local_time_field(p, default_cell_width(p, 64), [0.0, 0.5, 1.0])
-    kf = kiefer_increments(lt.x_left, lt.dx, np.linspace(0, 1, 9), _kiefer_seed(4))
-    sheet = limit_sheet(lt, kf)
+    sheet = limit_sheet(lt, np.linspace(0, 1, 9), _kiefer_seed(4))
     assert np.all(sheet.values[0] == 0.0)
     assert np.all(sheet.values[:, 0] == 0.0)
     assert np.all(sheet.values[:, -1] == 0.0)
-    other = kiefer_increments(lt.x_left[:-1], lt.dx, np.linspace(0, 1, 9),
-                              _kiefer_seed(4))
-    with pytest.raises(ValueError):
-        limit_sheet(lt, other)
+    assert not np.any(np.signbit(sheet.values[sheet.values == 0.0]))
+    # a cut the field was not binned at
+    with pytest.raises(ValueError, match="not present"):
+        limit_sheet(lt, np.linspace(0, 1, 9), _kiefer_seed(4), s_cuts=[0.5, 0.75])
 
 
 def test_ito_isometry_variance():
@@ -240,8 +238,7 @@ def test_ito_isometry_variance():
     t_grid = np.array([0.0, 0.25, 0.5, 1.0])
     draws = np.empty((10_000, 2, 4))
     for r in range(10_000):
-        kf = kiefer_increments(lt.x_left, lt.dx, t_grid, _kiefer_seed(r, master=21))
-        draws[r] = limit_sheet(lt, kf).values
+        draws[r] = limit_sheet(lt, t_grid, _kiefer_seed(r, master=21)).values
     for (i, j, s, t) in [(0, 2, 0.5, 0.5), (1, 1, 1.0, 0.25), (1, 2, 1.0, 0.5)]:
         predicted = t * (1 - t) * float(np.sum(lt.values[i] ** 2) * lt.dx)
         observed = draws[:, i, j].var()
@@ -260,8 +257,7 @@ def test_conditional_gaussianity():
     cols = {0.25: 1, 0.75: 2}
     z = np.empty(4000)
     for r in range(4000):
-        kf = kiefer_increments(lt.x_left, lt.dx, t_grid, _kiefer_seed(r, master=33))
-        sheet = limit_sheet(lt, kf)
+        sheet = limit_sheet(lt, t_grid, _kiefer_seed(r, master=33))
         z[r] = (theta[0] * sheet.values[0, cols[0.25]]
                 + theta[1] * sheet.values[1, cols[0.75]])
     var = 0.0
@@ -273,6 +269,43 @@ def test_conditional_gaussianity():
     assert abs(z.mean()) < 4 * z.std() / np.sqrt(z.size)
     p_norm = stats.kstest(z, "norm", args=(0.0, np.sqrt(var))).pvalue
     assert p_norm > 0.001
+
+
+def _per_cell_sheets(lt, t_grid, draws, rng):
+    # reference form of the sheet: an independent sqrt(dx)-scaled bridge per
+    # spatial cell, summed against the local time cell by cell
+    steps = rng.standard_normal((draws, lt.cells, t_grid.size - 1)) * np.sqrt(np.diff(t_grid))
+    walk = np.concatenate((np.zeros((draws, lt.cells, 1)), np.cumsum(steps, axis=2)), axis=2)
+    increments = np.sqrt(lt.dx) * (walk - walk[:, :, -1:] * t_grid)
+    return np.einsum("ix,dxt->dit", lt.values, increments)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_gram_sheet_matches_per_cell_sum(alpha):
+    # given one path, the Gram form and the per-cell sum have the same law
+    p = simulate_levy_path(alpha, 1.0, 4096, _levy_seed(12))
+    lt = local_time_field(p, default_cell_width(p, 64), [0.25, 0.5, 1.0])
+    t_grid = np.array([0.0, 0.25, 0.5, 1.0])
+    gram = np.stack([limit_sheet(lt, t_grid, _kiefer_seed(r, master=57)).values
+                     for r in range(2000)])
+    cells = _per_cell_sheets(lt, t_grid, 2000, np.random.default_rng(58))
+    for i, j in ((0, 2), (1, 1), (2, 2)):
+        assert stats.ks_2samp(gram[:, i, j], cells[:, i, j]).pvalue > 0.001
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_local_time_quadratic_is_the_exact_count_product(alpha):
+    # the Gram is the int64 product of the counts, scaled once: bit for bit
+    p = simulate_levy_path(alpha, 1.0, 1 << 17, _levy_seed(14))
+    s_vec = np.linspace(0.0, 1.0, 65)
+    lt = local_time_field(p, default_cell_width(p, 512), s_vec)
+    product = lt.counts @ lt.counts.T
+    assert product.dtype == np.int64
+    scale = p.steps**2 * lt.dx
+    quadratic = local_time_quadratic(lt, s_vec)
+    assert np.array_equal(quadratic, product / scale)
+    # one rounding: undoing the scale is within two units in the last place
+    assert np.allclose(quadratic * scale, product, rtol=2.0**-51, atol=0.0)
 
 
 def test_sup_local_time_scaling():
@@ -287,26 +320,6 @@ def test_sup_local_time_scaling():
     means = (sups**2).mean(axis=0)
     slope = np.polyfit(np.log(s_cuts), np.log(means), 1)[0]
     assert abs(slope - 1.0) < 0.2
-
-
-def test_two_sided_mirror_symmetry():
-    # negating the path and swapping the two spatial streams leaves the
-    # sheet distribution unchanged
-    from rwrs.diagnostics import two_sample_distance
-
-    def marginal(r, mirrored):
-        p = simulate_levy_path(2.0, 0.7071, 2048, _levy_seed(r, master=55))
-        values = p.values if not mirrored else -p.values
-        q = levy_from_values(values, 2.0, 0.7071)
-        lt = local_time_field(q, default_cell_width(q, 64), [1.0])
-        kf = kiefer_increments(lt.x_left, lt.dx, np.array([0.0, 0.5, 1.0]),
-                               _kiefer_seed(r, master=56), mirror=mirrored)
-        return limit_sheet(lt, kf).values[0, 1]
-
-    plain = np.array([marginal(r, False) for r in range(400)])
-    mirrored = np.array([marginal(r + 400, True) for r in range(400)])
-    report = two_sample_distance(plain, mirrored, permutations=600)
-    assert report.p_value > 0.005
 
 
 def test_local_time_quadratic_examples():
@@ -334,7 +347,7 @@ def test_local_time_quadratic_cut_lookup():
     # each s takes the first cut within 1e-12; the rows are told apart here
     lt = LocalTimeField(x_left=np.array([0.0, 1.0]), dx=1.0,
                         s_cuts=np.array([0.5, 0.5 + 5e-13, 1.0]),
-                        values=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]), steps=1)
+                        counts=np.array([[1, 0], [0, 1], [2, 3]]), steps=1)
     assert np.array_equal(local_time_quadratic(lt, [0.5, 1.0]),
                           np.array([[1.0, 2.0], [2.0, 13.0]]))
     with pytest.raises(ValueError, match=r"^s-cut 0\.3 not present in the local-time field$"):

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import rwrs.diagnostics
+import rwrs.limit
 import rwrs.runner
+import rwrs.walk
 from rwrs.cli import main
 from rwrs.config import EXPERIMENTS, config_hash, parse_config
 from rwrs.diagnostics import THETA_COMBINATIONS, _per_n_seed
@@ -175,18 +178,17 @@ def test_each_path_is_simulated_once(tmp_path, monkeypatch, text, kinds):
 @pytest.mark.parametrize("text", [SELFSIM_SMALL, MOMENTS_SMALL],
                          ids=["verify-selfsim", "verify-moments"])
 def test_manifest_lists_the_drawn_streams(tmp_path, monkeypatch, text):
+    # the key of every generator the walks, Levy paths and limit sheets draw
+    # from, salt included
     drawn = defaultdict(set)
-    # wrapped name -> position of its seed argument
-    for name, pos in (("simulate_walk", -1), ("simulate_levy_path", -1),
-                      ("kiefer_increments", 3)):
-        original = getattr(rwrs.diagnostics, name)
+    for module in (rwrs.walk, rwrs.limit):
+        original = module.stream_generator
 
-        def recorded(*args, _original=original, _pos=pos):
-            seed = args[_pos]
-            drawn[seed.stream_kind.value].add(f"{seed.philox_key():032x}")
-            return _original(*args)
+        def recorded(seed, salt=0, _original=original):
+            drawn[seed.stream_kind.value].add(f"{seed.philox_key(salt):032x}")
+            return _original(seed, salt)
 
-        monkeypatch.setattr(rwrs.diagnostics, name, recorded)
+        monkeypatch.setattr(module, "stream_generator", recorded)
     _, manifest = _run(text, tmp_path)
     listed = defaultdict(set)
     for entry in manifest.replicate_seeds:
@@ -194,6 +196,17 @@ def test_manifest_lists_the_drawn_streams(tmp_path, monkeypatch, text):
             if kind.value in entry:
                 listed[kind.value].add(entry[kind.value])
     assert listed == drawn
+
+
+def test_verify_moments_file_is_named_after_the_longest_walk(tmp_path):
+    # the experiment never reads n, so n leaves the file set alone
+    names = {}
+    for tag, text in (("default", MOMENTS_SMALL), ("n512", MOMENTS_SMALL + "n: 512\n")):
+        (tmp_path / tag).mkdir()
+        _run(text, tmp_path / tag)
+        names[tag] = sorted(p.name for p in (tmp_path / tag).iterdir())
+    assert names["default"] == names["n512"]
+    assert "verify-moments_2.0_2048.csv" in names["default"]
 
 
 def test_every_experiment_has_an_implementation():
@@ -409,3 +422,44 @@ def test_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(src), str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_GRID_65 = ", ".join(repr(float(x)) for x in np.linspace(0.0, 1.0, 65))
+# 33- and 65-point grids over 512 cells: a float64 product of this size
+# through OpenBLAS sums in an order set by its thread count
+BLAS_CONFIGS = {
+    "holder": ("experiment: verify-holder\nalpha: 2.0\nreplicates: 2\nK: 1024\n"
+               "cells: 512\ngrid_points: 32\nmaster_seed: 13\n"),
+    "limit": ("experiment: simulate-limit\nalpha: 2.0\nreplicates: 1\nK: 1024\n"
+              f"cells: 512\ns_grid: {_GRID_65}\nt_grid: {_GRID_65}\nmaster_seed: 3\n"),
+}
+# Runs in a child process, so that OPENBLAS_NUM_THREADS is read before numpy
+# is imported: argv holds the source path, then (config, output dir) pairs.
+BLAS_RUNS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from rwrs.config import parse_config
+from rwrs.runner import run_experiment
+for text, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    run_experiment(parse_config(text, {"output_dir": out}))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(rwrs.runner.__file__).parents[1])
+    for threads in ("1", "2"):
+        args = []
+        for name, text in BLAS_CONFIGS.items():
+            (tmp_path / threads / name).mkdir(parents=True)
+            args += [text, str(tmp_path / threads / name)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_RUNS, src, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    for name in BLAS_CONFIGS:
+        one, two = tmp_path / "1" / name, tmp_path / "2" / name
+        files = sorted(p.name for p in one.iterdir()
+                       if p.suffix == ".csv" or p.name == "summary.txt")
+        assert "summary.txt" in files and len(files) > 1
+        for f in files:
+            assert (one / f).read_bytes() == (two / f).read_bytes(), f
